@@ -401,8 +401,8 @@ def _dark_pump_system(omega: float, **kwargs) -> SystemParams:
 
 
 FIGURE_PRESETS: dict[str, FigurePreset] = {
-    # Dark-polariton population against the sum detuning, truncated engine
-    # with the single-excitation coupling treated as a free knob.
+    # Bright-polariton (psi) population against the sum detuning, truncated
+    # engine with the single-excitation coupling treated as a free knob.
     "figure3": FigurePreset(
         parameter="delta_s",
         lo=-10.0,

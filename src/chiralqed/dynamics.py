@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import RK45
 
 HERMITICITY_TOL = 1e-12
@@ -14,6 +17,7 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
+MAX_DIAGNOSIS_DIM = 2500
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -75,8 +79,22 @@ def _finalize(candidate: np.ndarray) -> np.ndarray:
     return rho / rho.trace().real
 
 
-def _diagnose_degeneracy(lv: np.ndarray) -> np.ndarray:
-    """Full singular-value diagnosis; returns the null vector if unique."""
+def _diagnose_degeneracy(lv) -> np.ndarray:
+    """Full singular-value diagnosis; returns the null vector if unique.
+
+    The generator is densified for the SVD, so the diagnosis is refused
+    above MAX_DIAGNOSIS_DIM rows (n_max = 24 on the full engine, a 95 MiB
+    dense copy) rather than attempting a copy that grows as n_max**4.
+    """
+    d2 = lv.shape[0]
+    if d2 > MAX_DIAGNOSIS_DIM:
+        raise DegenerateSteadyStateError(
+            f"trace-constrained generator is singular and its {d2}x{d2} size "
+            f"exceeds the {MAX_DIAGNOSIS_DIM}x{MAX_DIAGNOSIS_DIM} limit of the "
+            "dense degeneracy diagnosis"
+        )
+    if scipy.sparse.issparse(lv):
+        lv = lv.toarray()
     u, s, vh = scipy.linalg.svd(lv)
     null_count = int(np.sum(s < DEGENERACY_TOL * s[0]))
     if null_count >= 2:
@@ -91,9 +109,47 @@ def _diagnose_degeneracy(lv: np.ndarray) -> np.ndarray:
     return vh[-1].conj()
 
 
-def steady_state(lv: np.ndarray) -> np.ndarray:
+def _factorize(constrained) -> Callable[[np.ndarray], np.ndarray] | None:
+    """A solver for the trace-constrained system, or None if it is singular.
+
+    Sparse generators go to SuperLU with its default COLAMD ordering; dense
+    ones to LAPACK, which is faster at the five-state engine's 25x25 size.
+    """
+    if scipy.sparse.issparse(constrained):
+        # Imported here so that the dense five-state path does not load it
+        # (1.3 MiB of resident memory).
+        from scipy.sparse.csgraph import structural_rank
+
+        constrained = constrained.tocsc()
+        constrained.eliminate_zeros()
+        # A structurally singular system (no full matching of rows to
+        # nonzero columns) is exactly singular.  SuperLU reports that too,
+        # but on some such inputs only after OpenBLAS has printed
+        # illegal-argument messages to stdout.
+        if structural_rank(constrained) < constrained.shape[0]:
+            return None
+        try:
+            return scipy.sparse.linalg.splu(constrained).solve
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            return None
+    try:
+        with warnings.catch_warnings():
+            # Singular pivots are an expected outcome here (degenerate null
+            # space); the caller's checks and fallback diagnose them properly.
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            factors = scipy.linalg.lu_factor(constrained)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
+    return lambda rhs: scipy.linalg.lu_solve(factors, rhs)
+
+
+def steady_state(lv) -> np.ndarray:
     """The unique stationary density matrix of a trace-preserving generator.
 
+    lv is a dense array or a scipy.sparse matrix; a sparse one is factorized
+    with SuperLU and never densified except by the degeneracy diagnosis.
     One row of the generator is replaced by the trace constraint and the
     resulting linear system solved directly.  Uniqueness is then probed with
     one inverse-iteration step reusing the factorization: a second
@@ -102,29 +158,29 @@ def steady_state(lv: np.ndarray) -> np.ndarray:
     trace-constrained system whose singular-value diagnosis finds more than
     one null direction.
     """
-    lv = np.asarray(lv, dtype=complex)
+    sparse = scipy.sparse.issparse(lv)
+    lv = scipy.sparse.csr_array(lv, dtype=complex) if sparse else np.asarray(lv, dtype=complex)
     d2 = lv.shape[0]
     dim = math.isqrt(d2)
     if lv.ndim != 2 or lv.shape != (d2, d2) or dim * dim != d2:
         raise ValueError(f"expected a D^2 x D^2 superoperator, got {lv.shape}")
 
     trace_row = vectorize(np.eye(dim, dtype=complex))
-    constrained = lv.copy()
-    constrained[0, :] = trace_row
+    if sparse:
+        constrained = scipy.sparse.vstack(
+            [scipy.sparse.csr_array(trace_row[np.newaxis, :]), lv[1:]], format="csr"
+        )
+        scale = scipy.sparse.linalg.norm(lv)
+    else:
+        constrained = lv.copy()
+        constrained[0, :] = trace_row
+        scale = np.linalg.norm(lv)
     rhs = np.zeros(d2, dtype=complex)
     rhs[0] = 1.0
 
-    scale = np.linalg.norm(lv)
-    try:
-        with warnings.catch_warnings():
-            # Singular pivots are an expected outcome here (degenerate null
-            # space); the fallback below diagnoses them properly.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factors = scipy.linalg.lu_factor(constrained)
-            solution = scipy.linalg.lu_solve(factors, rhs)
-    except (scipy.linalg.LinAlgError, ValueError):
-        solution = None
-    else:
+    solve = _factorize(constrained)
+    solution = None if solve is None else solve(rhs)
+    if solution is not None:
         residual = np.linalg.norm(lv @ solution) / max(np.linalg.norm(solution), 1e-300)
         if not np.all(np.isfinite(solution)) or residual > 1e-6 * max(scale, 1.0):
             solution = None
@@ -146,7 +202,7 @@ def steady_state(lv: np.ndarray) -> np.ndarray:
     # betrays degeneracy even when the direct solve succeeded.
     rng = np.random.default_rng(20240811)
     probe = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-    candidate = scipy.linalg.lu_solve(factors, probe)
+    candidate = solve(probe)
     primary = solution / np.linalg.norm(solution)
     deflated = candidate - (primary.conj() @ candidate) * primary
     deflated_norm = np.linalg.norm(deflated)
@@ -167,7 +223,7 @@ def steady_state(lv: np.ndarray) -> np.ndarray:
 
 
 def evolve(
-    lv: np.ndarray,
+    lv,
     rho0: np.ndarray,
     t_final: float,
     tol: float = 1e-10,
@@ -178,9 +234,11 @@ def evolve(
     renormalized (the drift per step is tiny at the default tolerance, well
     below 1e-12) and the stepper's cached derivative refreshed to match.
     Step-size underflow or a state that has drifted beyond repair raises
-    IntegrationFailureError.
+    IntegrationFailureError.  lv may be a dense array or a scipy.sparse
+    matrix; either is only ever applied as a matrix-vector product.
     """
-    lv = np.asarray(lv, dtype=complex)
+    if not scipy.sparse.issparse(lv):
+        lv = np.asarray(lv, dtype=complex)
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     if tol <= 0:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.sparse
 
 from .fock_algebra import FockCutoff, composite_operators
 
@@ -43,6 +44,10 @@ class SystemParams:
     x_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.gamma < 0:
@@ -123,6 +128,12 @@ def _right(op: np.ndarray) -> np.ndarray:
     return np.kron(op.T, np.eye(op.shape[0], dtype=complex))
 
 
+def _sparse_kron(left: np.ndarray, right: np.ndarray):
+    return scipy.sparse.kron(
+        scipy.sparse.csr_array(left), scipy.sparse.csr_array(right), format="csr"
+    )
+
+
 def dissipator(collapse: np.ndarray, rate: float) -> np.ndarray:
     """Superoperator for (rate/2) (2 c rho c+ - c+ c rho - rho c+ c)."""
     cdc = collapse.conj().T @ collapse
@@ -143,8 +154,8 @@ def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
     return h
 
 
-def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
-    """Master-equation generator L with vec(rho_dot) = L vec(rho).
+def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
+    """Master-equation generator L with vec(rho_dot) = L vec(rho), as sparse CSR.
 
     At the reference placement (x_phase a multiple of 2 pi) the dissipation
     consists of local cavity and atom decay at rates kappa (1 + chi) and
@@ -156,33 +167,36 @@ def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
 
     The placement phase is argument-reduced before taking cos and sin, so
     multiples of 2 pi reproduce the reference generator entrywise.
+
+    Every term is a left multiplication, a right multiplication or a
+    sandwich, so L is assembled from four sparse Kronecker products,
+    I (x) X_L + X_R^T (x) I + a* (x) J_a + sigma* (x) J_sigma, with small
+    dense D x D factors.  Call .toarray() on the result for the dense matrix.
     """
     a, sm = composite_operators(cutoff)
     ad = a.conj().T
     sp = sm.conj().T
-
-    h = build_hamiltonian(params, cutoff)
-    lv = -1j * (_left(h) - _right(h))
-    lv += dissipator(a, params.kappa * (1.0 + params.chi))
-    lv += dissipator(sm, params.gamma * (1.0 + params.chi))
-
-    root = math.sqrt(params.kappa * params.gamma)
-    if root == 0.0:
-        return lv
-
-    x = math.remainder(params.x_phase, math.tau)
-    cos_x = math.cos(x)
-    sin_x = math.sin(x)
-
     ad_sm = ad @ sm
     sp_a = sp @ a
-    # forward: the cavity output drives the atom; backward: the reverse
-    forward = _right(ad_sm) - np.kron(ad.T, sm) + _left(sp_a) - np.kron(sp.T, a)
-    backward = _right(sp_a) - np.kron(sp.T, a) + _left(ad_sm) - np.kron(ad.T, sm)
-    lv += -root * cos_x * forward
-    lv += -params.chi * root * cos_x * backward
+    rate_a = params.kappa * (1.0 + params.chi)
+    rate_s = params.gamma * (1.0 + params.chi)
+    root = math.sqrt(params.kappa * params.gamma)
+    x = math.remainder(params.x_phase, math.tau)
+    cross = root * math.cos(x)
+    coherent = build_hamiltonian(params, cutoff) + root * math.sin(x) * (sp_a + ad_sm)
+    sink = -0.5 * (rate_a * (ad @ a) + rate_s * (sp @ sm))
+    # The forward cross term (the cavity output drives the atom) puts
+    # sigma+ a on the left and a+ sigma on the right; the backward one,
+    # weighted by chi, the reverse.  Both feed the same sandwich terms.
+    x_left = -1j * coherent + sink - cross * (sp_a + params.chi * ad_sm)
+    x_right = 1j * coherent + sink - cross * (ad_sm + params.chi * sp_a)
+    sandwich = (1.0 + params.chi) * cross
 
-    if sin_x != 0.0:
-        exchange = (root * sin_x) * (sp_a + ad_sm)
-        lv += -1j * (_left(exchange) - _right(exchange))
-    return lv
+    eye = np.eye(cutoff.dim, dtype=complex)
+    lv = (
+        _sparse_kron(eye, x_left)
+        + _sparse_kron(x_right.T, eye)
+        + _sparse_kron(a.conj(), rate_a * a + sandwich * sm)
+        + _sparse_kron(sm.conj(), rate_s * sm + sandwich * a)
+    )
+    return scipy.sparse.csr_array(lv)

@@ -329,10 +329,10 @@ def test_criterion_8_invariant_suite():
     lv_zero = build_liouvillian(generic, small)
     periodic = all(
         np.array_equal(
-            lv_zero,
+            lv_zero.toarray(),
             build_liouvillian(
                 replace(generic, x_phase=2.0 * math.pi * m), small
-            ),
+            ).toarray(),
         )
         for m in (1, -2)
     )

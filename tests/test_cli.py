@@ -1,12 +1,18 @@
+import contextlib
 import filecmp
+import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiralqed.cli import main
+from chiralqed.cli import _SYSTEM_KEYS, main
 
 DARK_SYSTEM = """
 [system]
@@ -192,6 +198,28 @@ def test_degenerate_point_exits_numerical(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SYSTEM_KEYS), st.sampled_from(["nan", "inf", "-inf"]))
+def test_point_rejects_non_finite_config_value(key, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"[system]\n{key} = {raw}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["point", "--config", path]) == 2
+    assert "config error:" in err.getvalue()
+
+
+def test_degenerate_point_prints_no_solver_noise(tmp_path, capfd):
+    # at this cutoff SuperLU would print OpenBLAS argument errors to stdout
+    cfg = _write(tmp_path, "[system]\ngamma = 0.0\nchi = 0.0\n")
+    assert main(["point", "--config", cfg, "--cutoff", "8"]) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: non-unique steady state")
+
+
 def test_darkcheck_reports_both_manifolds(tmp_path, capsys):
     cfg = _write(tmp_path, DARK_SYSTEM)
     assert main(["darkcheck", "--config", cfg]) == 0
@@ -319,6 +347,39 @@ def test_sweep_output_is_deterministic(tmp_path):
         )
         assert result.returncode == 0, result.stderr
     assert filecmp.cmp(first, second, shallow=False)
+
+
+def test_full_engine_sweep_independent_of_blas_threads(tmp_path):
+    cfg = _write(
+        tmp_path,
+        DARK_SYSTEM
+        + textwrap.dedent("""
+        [sweep]
+        parameter = phi_d
+        lo = -3.0
+        hi = 3.0
+        points = 7
+
+        [engine]
+        engine = full
+        cutoff = 8
+        """),
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "chiralqed.cli", "sweep",
+             "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(out)
+    assert filecmp.cmp(*outputs, shallow=False)
 
 
 def test_seventeen_digit_round_trip(tmp_path, capsys):

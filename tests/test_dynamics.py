@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from chiralqed.dynamics import (
     DegenerateSteadyStateError,
@@ -76,13 +79,46 @@ def test_steady_state_properties():
     eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() > -1e-12
     residual = np.linalg.norm(lv @ vectorize(rho))
-    assert residual < 1e-10 * np.linalg.norm(lv)
+    assert residual < 1e-10 * np.linalg.norm(lv.toarray())
 
 
 def test_steady_state_detects_degeneracy():
     # with the atom decoupled from decay, |g,0> and |e,0> are both stationary
     lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), CUTOFF)
     with pytest.raises(DegenerateSteadyStateError):
+        steady_state(lv)
+
+
+@pytest.mark.parametrize("chi", [0.0, 1.0])
+def test_sparse_and_dense_steady_states_agree(chi):
+    lv = build_liouvillian(replace(DRIVEN, chi=chi), FockCutoff(8))
+    np.testing.assert_allclose(
+        steady_state(lv), steady_state(lv.toarray()), rtol=0, atol=1e-12
+    )
+
+
+def test_degeneracy_detected_on_sparse_and_dense_paths():
+    # structurally singular once the trace row is in: SuperLU is never called
+    lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(8))
+    for form in (lv, lv.toarray()):
+        with pytest.raises(DegenerateSteadyStateError, match="null-space dimension"):
+            steady_state(form)
+
+
+def test_exactly_singular_factor_goes_to_diagnosis():
+    # structurally nonsingular, so SuperLU runs and reports an exact zero pivot
+    lv = np.array(
+        [[0, 0, 0, 0], [0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1]], dtype=complex
+    )
+    for form in (scipy.sparse.csr_array(lv), lv):
+        with pytest.raises(DegenerateSteadyStateError, match="null-space dimension 2"):
+            steady_state(form)
+
+
+def test_degeneracy_diagnosis_refuses_large_generators():
+    # n_max = 25 gives a 2704 x 2704 generator, above the dense diagnosis limit
+    lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(25))
+    with pytest.raises(DegenerateSteadyStateError, match="2704x2704"):
         steady_state(lv)
 
 
@@ -105,7 +141,7 @@ def test_evolve_matches_matrix_exponential(rng):
     lv = build_liouvillian(DRIVEN, CUTOFF)
     rho0 = random_density(rng, CUTOFF.dim)
     for t in (0.3, 1.7):
-        direct = devectorize(scipy.linalg.expm(lv * t) @ vectorize(rho0))
+        direct = devectorize(scipy.linalg.expm(lv.toarray() * t) @ vectorize(rho0))
         stepped = evolve(lv, rho0, t)
         np.testing.assert_allclose(stepped, direct, atol=1e-8)
 

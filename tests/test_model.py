@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,6 +36,16 @@ def test_params_validation():
         SystemParams(omega_c=-0.01)
     with pytest.raises(ValueError):
         SystemParams(e_mag=-1e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([f.name for f in fields(SystemParams)]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(**{name: value})
 
 
 def test_e_field_polar_form():
@@ -188,7 +198,7 @@ def test_liouvillian_matches_cascade_form(chi):
         e_mag=5e-3,
         phi_d=0.9,
     )
-    lv = build_liouvillian(p, CUTOFF)
+    lv = build_liouvillian(p, CUTOFF).toarray()
     ref = cascade_liouvillian(p, CUTOFF.n_max)
     np.testing.assert_allclose(lv, ref, atol=1e-13)
 
@@ -203,11 +213,11 @@ def test_undriven_steady_state_is_vacuum():
 
 def test_placement_phase_period():
     p = SystemParams(gamma=0.9, chi=0.1, omega_c=0.05, e_mag=1e-3)
-    base = build_liouvillian(p, CUTOFF)
+    base = build_liouvillian(p, CUTOFF).toarray()
     for turns in (1, 2, -3):
         shifted = build_liouvillian(
             replace(p, x_phase=turns * math.tau), CUTOFF
-        )
+        ).toarray()
         np.testing.assert_array_equal(shifted, base)
 
 
@@ -220,7 +230,7 @@ def test_placement_phase_quadrature_identity():
     rhs = build_liouvillian(replace(p, x_phase=math.pi / 2), CUTOFF) + (
         build_liouvillian(replace(p, x_phase=-math.pi / 2), CUTOFF)
     )
-    np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+    np.testing.assert_allclose(lhs.toarray(), rhs.toarray(), atol=1e-13)
 
 
 def test_placement_phase_exchange_term():
@@ -235,7 +245,7 @@ def test_placement_phase_exchange_term():
     swap = math.sqrt(p.kappa * p.gamma) * (sm.conj().T @ a + a.conj().T @ sm)
     ident = np.eye(CUTOFF.dim, dtype=complex)
     expected = -1j * (np.kron(ident, swap) - np.kron(swap.T, ident))
-    np.testing.assert_allclose(quarter - average, expected, atol=1e-13)
+    np.testing.assert_allclose((quarter - average).toarray(), expected, atol=1e-13)
 
 
 def test_symmetric_coupling_has_no_coherent_exchange():
@@ -243,6 +253,6 @@ def test_symmetric_coupling_has_no_coherent_exchange():
     p = SystemParams(kappa=1.0, gamma=1.0, chi=1.0, omega_c=0.05)
     d = derive(p)
     assert d.g_chi == 0.0
-    lv = build_liouvillian(p, CUTOFF)
+    lv = build_liouvillian(p, CUTOFF).toarray()
     ref = cascade_liouvillian(p, CUTOFF.n_max)
     np.testing.assert_allclose(lv, ref, atol=1e-13)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import sys
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -22,17 +23,11 @@ from . import collective as coll
 from . import observables as obs
 from . import truncated_oracle as trunc
 from .dark_state import (
-    DarkStateError,
-    dark_conditions_double,
-    dark_conditions_single,
-    dfs_requirements_double,
-    dfs_state_single,
+    DarkStateError, dark_conditions_double, dark_conditions_single,
+    dfs_requirements_double, dfs_state_single,
 )
 from .dynamics import (
-    DegenerateSteadyStateError,
-    IntegrationFailureError,
-    PositivityError,
-    steady_state,
+    DegenerateSteadyStateError, IntegrationFailureError, PositivityError, steady_state,
 )
 from .fock_algebra import BasisLabel, FockCutoff
 from .model import SystemParams, build_liouvillian, derive
@@ -45,33 +40,20 @@ DEFAULT_CUTOFF = 8
 DEFAULT_CONVERGE_CUTOFFS = (4, 6, 8, 12)
 
 SWEEPABLE = ("phi_d", "delta_s", "gamma", "omega_c", "chi", "x_phase", "g_chi")
-OBSERVABLE_NAMES = (
-    "mean_n",
-    "g2",
-    "purity",
-    "rho_11",
-    "rho_22",
-    "rho_psipsi",
-    "rho_phiphi",
-    "rho_xixi",
-    "rho_zetazeta",
-)
 DEFAULT_OBSERVABLES = ("mean_n", "g2", "purity")
 
+# Also the order of the resolved `system.*` comment lines.
 _SYSTEM_KEYS = (
-    "kappa",
-    "gamma",
-    "chi",
-    "delta_c",
-    "delta_a",
-    "delta_s",
-    "delta",
-    "omega_c",
-    "omega_a",
-    "e_mag",
-    "phi_d",
-    "x_phase",
+    "kappa", "gamma", "chi", "delta_c", "delta_a", "delta_s", "delta",
+    "omega_c", "omega_a", "e_mag", "phi_d", "x_phase",
 )
+_OVERRIDE_KEYS = ("g_chi", "gamma_chi")
+_SECTION_KEYS = {
+    "system": _SYSTEM_KEYS,
+    "sweep": ("parameter", "lo", "hi", "points"),
+    "engine": ("engine", "cutoff", "cutoffs", *_OVERRIDE_KEYS),
+    "output": ("observables",),
+}
 
 
 class ConfigError(Exception):
@@ -80,6 +62,172 @@ class ConfigError(Exception):
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+# ---------------------------------------------------------------------------
+# Observables, read the same way from either engine's steady state
+
+
+class _FullState:
+    """Steady state of the full engine at a Fock cutoff."""
+
+    def __init__(self, rho: np.ndarray, cutoff: FockCutoff, params: SystemParams):
+        self.rho = rho
+        self._cutoff = cutoff
+        self._params = params
+
+    @functools.cached_property
+    def cp(self) -> coll.CollectiveParams:
+        return coll.from_system(self._params)
+
+    @functools.cached_property
+    def cavity(self) -> tuple[float, float | None]:
+        return obs.mean_photon_number(self.rho, self._cutoff), obs.g2_zero(self.rho, self._cutoff)
+
+    def excited(self) -> float:
+        return obs.population(self.rho, BasisLabel("g", 1))
+
+
+class _FiveState:
+    """Steady state of the five-state engine, in the collective basis."""
+
+    def __init__(self, rho: np.ndarray, cp: coll.CollectiveParams):
+        self.rho = rho
+        self.cp = cp
+
+    @functools.cached_property
+    def cavity(self) -> tuple[float, float | None]:
+        return obs.truncated_cavity_stats(self.rho, self.cp)
+
+    def excited(self) -> float:
+        return float(coll.collective_to_product(self.rho, self.cp)[1, 1].real)
+
+
+def _collective(label: str):
+    return lambda state: obs.population(state.rho, label, state.cp)
+
+
+# Observable name -> getter on a solved state.  |g,0> is the collective
+# ground state "1", so rho_11 reads it like the polariton populations.
+OBSERVABLES = {
+    "mean_n": lambda state: state.cavity[0],
+    "g2": lambda state: math.nan if state.cavity[1] is None else state.cavity[1],
+    "purity": lambda state: obs.purity(state.rho),
+    "rho_11": _collective("1"),
+    "rho_22": lambda state: state.excited(),
+    "rho_psipsi": _collective("psi"),
+    "rho_phiphi": _collective("phi"),
+    "rho_xixi": _collective("xi"),
+    "rho_zetazeta": _collective("zeta"),
+}
+OBSERVABLE_NAMES = tuple(OBSERVABLES)
+
+
+@dataclasses.dataclass(frozen=True)
+class Engine:
+    """How the CLI solves a point.
+
+    "full" solves the Fock-cutoff generator; "truncated" solves the
+    five-state model, whose g_chi and gamma_chi may be overridden.
+    """
+
+    name: str = "full"
+    cutoff: FockCutoff = FockCutoff(DEFAULT_CUTOFF)
+    overrides: dict[str, float] = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.overrides and self.name != "truncated":
+            raise ConfigError("g_chi/gamma_chi overrides need engine=truncated")
+
+    def solve(self, params: SystemParams) -> _FullState | _FiveState:
+        if self.name == "full":
+            rho = steady_state(build_liouvillian(params, self.cutoff))
+            return _FullState(rho, self.cutoff, params)
+        tp = dataclasses.replace(trunc.from_system(params), **self.overrides)
+        return _FiveState(trunc.truncated_steady(tp), tp.cp)
+
+    def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:
+        state = self.solve(params)
+        return {name: OBSERVABLES[name](state) for name in names}
+
+
+def _rows(points, names: tuple[str, ...]) -> list[list[float]]:
+    """One row per (x, engine, params) point: x, then the named observables."""
+    rows = []
+    for x, engine, params in points:
+        values = engine.observe(params, names)
+        rows.append([x, *(values[name] for name in names)])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Sweeps
+
+
+@dataclasses.dataclass(frozen=True)
+class Sweep:
+    """A linear grid of `points` values of one parameter from lo to hi."""
+
+    parameter: str
+    lo: float
+    hi: float
+    points: int
+
+    def __post_init__(self) -> None:
+        if self.parameter not in SWEEPABLE:
+            raise ConfigError(
+                f"cannot sweep {self.parameter!r}; choose from {', '.join(SWEEPABLE)}"
+            )
+        if not self.lo < self.hi:
+            raise ConfigError("sweep range needs lo < hi")
+        if self.points < 2:
+            raise ConfigError("sweep needs at least 2 points")
+
+    def grid(self) -> list[float]:
+        return [float(value) for value in np.linspace(self.lo, self.hi, self.points)]
+
+    def comments(self, engine: Engine) -> list[str]:
+        """The resolved sweep and engine, for the CSV comment header."""
+        return [
+            f"sweep.parameter = {self.parameter}",
+            f"sweep.lo = {_fmt(self.lo)}",
+            f"sweep.hi = {_fmt(self.hi)}",
+            f"sweep.points = {self.points}",
+            f"engine.engine = {engine.name}",
+            f"engine.cutoff = {engine.cutoff.n_max}",
+            *(f"engine.{k} = {_fmt(v)}" for k, v in sorted(engine.overrides.items())),
+        ]
+
+    def rows(
+        self, engine: Engine, base: SystemParams, names: tuple[str, ...]
+    ) -> list[list[float]]:
+        if self.parameter == "g_chi" and engine.name != "truncated":
+            raise ConfigError("g_chi is only sweepable with engine=truncated")
+        if self.parameter == "x_phase" and engine.name == "truncated":
+            raise ConfigError("x_phase has no truncated-engine counterpart")
+        return _rows(((x, *self._at(x, engine, base)) for x in self.grid()), names)
+
+    def _at(
+        self, value: float, engine: Engine, base: SystemParams
+    ) -> tuple[Engine, SystemParams]:
+        """Engine and system at one grid value; g_chi is an engine override."""
+        if self.parameter == "g_chi":
+            overrides = {**engine.overrides, "g_chi": value}
+            return dataclasses.replace(engine, overrides=overrides), base
+        if self.parameter == "delta_s":
+            # Move the sum detuning while freezing the difference.
+            delta = derive(base).delta
+            changes = {"delta_c": value + delta, "delta_a": value - delta}
+        else:
+            changes = {self.parameter: value}
+        try:
+            return engine, dataclasses.replace(base, **changes)
+        except ValueError as exc:
+            raise ConfigError(f"swept value {value}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Config parsing
 
 
 def _load_ini(path: str | None) -> configparser.ConfigParser:
@@ -93,10 +241,13 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
-    known = {"system", "sweep", "engine", "output"}
     for section in parser.sections():
-        if section not in known:
+        if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
+    for section in parser.sections():
+        for key in parser[section]:
+            if key not in _SECTION_KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
     return parser
 
 
@@ -112,9 +263,6 @@ def _parse_system(ini: configparser.ConfigParser) -> SystemParams:
     if not ini.has_section("system"):
         return SystemParams()
     section = ini["system"]
-    for key in section:
-        if key not in _SYSTEM_KEYS:
-            raise ConfigError(f"[system] unknown key {key!r}")
     values = {key: _get_float(section, key) for key in section}
 
     kappa = values.pop("kappa", 1.0)
@@ -138,32 +286,41 @@ def _parse_system(ini: configparser.ConfigParser) -> SystemParams:
         raise ConfigError(f"[system] {exc}") from exc
 
 
-def _parse_cutoff(args, ini: configparser.ConfigParser) -> FockCutoff:
-    if args.cutoff is not None:
-        n_max = args.cutoff
-    elif ini.has_option("engine", "cutoff"):
-        raw = ini["engine"]["cutoff"]
-        try:
-            n_max = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[engine] cutoff = {raw!r} is not an integer") from exc
-    else:
-        n_max = DEFAULT_CUTOFF
+def _cutoff(n_max: int) -> FockCutoff:
     try:
         return FockCutoff(n_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_engine(args, ini: configparser.ConfigParser) -> str:
-    engine = args.engine
-    if engine is None and ini.has_option("engine", "engine"):
-        engine = ini["engine"]["engine"]
-    if engine is None:
-        engine = "full"
-    if engine not in ("full", "truncated"):
-        raise ConfigError(f"engine must be 'full' or 'truncated', got {engine!r}")
-    return engine
+def _parse_cutoff(args, ini: configparser.ConfigParser) -> FockCutoff:
+    if args.cutoff is not None:
+        return _cutoff(args.cutoff)
+    raw = ini.get("engine", "cutoff", fallback=None)
+    if raw is None:
+        return _cutoff(DEFAULT_CUTOFF)
+    try:
+        return _cutoff(int(raw))
+    except ValueError as exc:
+        raise ConfigError(f"[engine] cutoff = {raw!r} is not an integer") from exc
+
+
+def _engine_name(args, ini: configparser.ConfigParser) -> str:
+    name = args.engine or ini.get("engine", "engine", fallback="full")
+    if name not in ("full", "truncated"):
+        raise ConfigError(f"engine must be 'full' or 'truncated', got {name!r}")
+    return name
+
+
+def _parse_engine(args, ini: configparser.ConfigParser) -> Engine:
+    name = _engine_name(args, ini)
+    cutoff = _parse_cutoff(args, ini)
+    overrides = {
+        key: _get_float(ini["engine"], key)
+        for key in _OVERRIDE_KEYS
+        if ini.has_option("engine", key)
+    }
+    return Engine(name, cutoff, overrides)
 
 
 def _parse_observables(ini: configparser.ConfigParser) -> tuple[str, ...]:
@@ -175,199 +332,58 @@ def _parse_observables(ini: configparser.ConfigParser) -> tuple[str, ...]:
     if not names:
         raise ConfigError("[output] observables is empty")
     for name in names:
-        if name not in OBSERVABLE_NAMES:
+        if name not in OBSERVABLES:
             raise ConfigError(
                 f"unknown observable {name!r}; choose from {', '.join(OBSERVABLE_NAMES)}"
             )
     return names
 
 
-def _engine_overrides(ini: configparser.ConfigParser) -> dict[str, float]:
-    overrides = {}
-    if ini.has_section("engine"):
-        for key in ("g_chi", "gamma_chi"):
-            if ini.has_option("engine", key):
-                overrides[key] = _get_float(ini["engine"], key)
-    return overrides
+def _parse_sweep(ini: configparser.ConfigParser) -> Sweep:
+    if not ini.has_section("sweep"):
+        raise ConfigError("sweep needs a [sweep] section")
+    section = ini["sweep"]
+    parameter = section.get("parameter")
+    if parameter is None:
+        raise ConfigError("[sweep] parameter is required")
+    try:
+        points = int(section.get("points", ""))
+    except ValueError as exc:
+        raise ConfigError("[sweep] points must be an integer") from exc
+    return Sweep(parameter, _get_float(section, "lo"), _get_float(section, "hi"), points)
 
 
 # ---------------------------------------------------------------------------
-# Observable evaluation for both engines
-
-
-def _full_observables(
-    rho: np.ndarray,
-    cutoff: FockCutoff,
-    params: SystemParams,
-    names: Iterable[str],
-) -> dict[str, float]:
-    out: dict[str, float] = {}
-    cp = None
-    for name in names:
-        if name == "mean_n":
-            out[name] = obs.mean_photon_number(rho, cutoff)
-        elif name == "g2":
-            value = obs.g2_zero(rho, cutoff)
-            out[name] = math.nan if value is None else value
-        elif name == "purity":
-            out[name] = obs.purity(rho)
-        elif name == "rho_11":
-            out[name] = obs.population(rho, BasisLabel("g", 0))
-        elif name == "rho_22":
-            out[name] = obs.population(rho, BasisLabel("g", 1))
-        else:
-            if cp is None:
-                cp = coll.from_system(params)
-            label = {"rho_psipsi": "psi", "rho_phiphi": "phi",
-                     "rho_xixi": "xi", "rho_zetazeta": "zeta"}[name]
-            out[name] = obs.population(rho, label, cp)
-    return out
-
-
-def _truncated_observables(
-    rho5: np.ndarray, cp: coll.CollectiveParams, names: Iterable[str]
-) -> dict[str, float]:
-    out: dict[str, float] = {}
-    stats = None
-    for name in names:
-        if name in ("mean_n", "g2"):
-            if stats is None:
-                stats = obs.truncated_cavity_stats(rho5, cp)
-            mean_n, g2 = stats
-            out[name] = mean_n if name == "mean_n" else (math.nan if g2 is None else g2)
-        elif name == "purity":
-            out[name] = obs.purity(rho5)
-        elif name == "rho_11":
-            out[name] = obs.population(rho5, "1")
-        elif name == "rho_22":
-            rho_prod = coll.collective_to_product(rho5, cp)
-            out[name] = float(rho_prod[1, 1].real)
-        else:
-            label = {"rho_psipsi": "psi", "rho_phiphi": "phi",
-                     "rho_xixi": "xi", "rho_zetazeta": "zeta"}[name]
-            out[name] = obs.population(rho5, label)
-    return out
-
-
-def _solve_point(
-    params: SystemParams,
-    engine: str,
-    cutoff: FockCutoff,
-    names: Iterable[str],
-    overrides: dict[str, float] | None = None,
-) -> dict[str, float]:
-    if engine == "full":
-        rho = steady_state(build_liouvillian(params, cutoff))
-        return _full_observables(rho, cutoff, params, names)
-    tp = trunc.from_system(params)
-    if overrides:
-        tp = dataclasses.replace(tp, **overrides)
-    rho5 = trunc.truncated_steady(tp)
-    return _truncated_observables(rho5, tp.cp, names)
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
-    parameter: str
-    lo: float
-    hi: float
-    points: int
-    base: SystemParams
-    engine: str
-    observables: tuple[str, ...]
-    cutoff: FockCutoff
-    overrides: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ConfigError(
-                f"cannot sweep {self.parameter!r}; choose from {', '.join(SWEEPABLE)}"
-            )
-        if not self.lo < self.hi:
-            raise ConfigError("sweep range needs lo < hi")
-        if self.points < 2:
-            raise ConfigError("sweep needs at least 2 points")
-        if self.parameter == "g_chi" and self.engine != "truncated":
-            raise ConfigError("g_chi is only sweepable with engine=truncated")
-        if self.parameter == "x_phase" and self.engine == "truncated":
-            raise ConfigError("x_phase has no truncated-engine counterpart")
-
-
-def _apply_swept(base: SystemParams, name: str, value: float) -> SystemParams:
-    if name == "delta_s":
-        # Move the sum detuning while freezing the difference.
-        delta = derive(base).delta
-        return dataclasses.replace(base, delta_c=value + delta, delta_a=value - delta)
-    if name in ("phi_d", "gamma", "omega_c", "chi", "x_phase"):
-        return dataclasses.replace(base, **{name: value})
-    raise ConfigError(f"{name!r} is not a system parameter")
-
-
-def _sweep_rows(spec: SweepSpec) -> list[list[float]]:
-    grid = np.linspace(spec.lo, spec.hi, spec.points)
-    rows = []
-    for value in grid:
-        value = float(value)
-        if spec.parameter == "g_chi":
-            tp = trunc.from_system(spec.base)
-            if spec.overrides:
-                tp = dataclasses.replace(tp, **spec.overrides)
-            tp = dataclasses.replace(tp, g_chi=value)
-            rho5 = trunc.truncated_steady(tp)
-            values = _truncated_observables(rho5, tp.cp, spec.observables)
-        else:
-            try:
-                params = _apply_swept(spec.base, spec.parameter, value)
-            except ValueError as exc:
-                raise ConfigError(f"swept value {value}: {exc}") from exc
-            values = _solve_point(
-                params, spec.engine, spec.cutoff, spec.observables, spec.overrides
-            )
-        rows.append([value] + [values[name] for name in spec.observables])
-    return rows
+# Output
 
 
 def _system_comment_lines(params: SystemParams) -> list[str]:
     dp = derive(params)
-    fields = {
-        "kappa": params.kappa,
-        "gamma": params.gamma,
-        "chi": params.chi,
-        "delta_c": params.delta_c,
-        "delta_a": params.delta_a,
-        "delta_s": dp.delta_s,
-        "delta": dp.delta,
-        "omega_c": params.omega_c,
-        "omega_a": params.omega_a,
-        "e_mag": params.e_mag,
-        "phi_d": params.phi_d,
-        "x_phase": params.x_phase,
-    }
-    return [f"system.{key} = {_fmt(val)}" for key, val in fields.items()]
+    return [
+        f"system.{key} = {_fmt(getattr(dp if key in ('delta_s', 'delta') else params, key))}"
+        for key in _SYSTEM_KEYS
+    ]
 
 
-def _write_csv(
-    stream: TextIO,
-    comments: list[str],
-    header: list[str],
-    rows: Iterable[Iterable[float]],
-) -> None:
-    stream.write("# all rates and frequencies in units of kappa; kappa = 1\n")
-    for line in comments:
-        stream.write(f"# {line}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(value) for value in row) + "\n")
+def _csv(
+    comments: list[str], header: list[str], rows: Iterable[Iterable[float]]
+) -> list[str]:
+    return [
+        "# all rates and frequencies in units of kappa; kappa = 1",
+        *(f"# {line}" for line in comments),
+        ",".join(header),
+        *(",".join(_fmt(value) for value in row) for row in rows),
+    ]
 
 
-def _open_out(path: str | None):
+def _write_output(lines: list[str], path: str | None) -> None:
+    """The one place command output is written: stdout, or the --out file."""
+    text = "".join(f"{line}\n" for line in lines)
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +394,14 @@ def _open_out(path: str | None):
 class FigureCurve:
     label: str
     system: SystemParams
-    g_chi: float | None = None
-    gamma_chi: float | None = None
+    overrides: dict[str, float] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass(frozen=True)
 class FigurePreset:
-    parameter: str
-    lo: float
-    hi: float
-    points: int
+    """A sweep of one observable, one column per curve."""
+
+    sweep: Sweep
     engine: str
     observable: str
     curves: tuple[FigureCurve, ...]
@@ -400,14 +414,13 @@ def _dark_pump_system(omega: float, **kwargs) -> SystemParams:
     )
 
 
+_FIGURE3_OVERRIDES = {"g_chi": 5.0, "gamma_chi": 2.0}
+
 FIGURE_PRESETS: dict[str, FigurePreset] = {
     # Bright-polariton (psi) population against the sum detuning, truncated
     # engine with the single-excitation coupling treated as a free knob.
     "figure3": FigurePreset(
-        parameter="delta_s",
-        lo=-10.0,
-        hi=10.0,
-        points=201,
+        sweep=Sweep("delta_s", -10.0, 10.0, 201),
         engine="truncated",
         observable="rho_psipsi",
         curves=(
@@ -416,20 +429,17 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
                 system=SystemParams(
                     gamma=1.0, delta_c=5.0, delta_a=-5.0, omega_c=0.04, omega_a=0.04
                 ),
-                g_chi=5.0,
-                gamma_chi=2.0,
+                overrides=_FIGURE3_OVERRIDES,
             ),
             FigureCurve(
                 label="delta0_omega0.04",
                 system=SystemParams(gamma=1.0, omega_c=0.04, omega_a=0.04),
-                g_chi=5.0,
-                gamma_chi=2.0,
+                overrides=_FIGURE3_OVERRIDES,
             ),
             FigureCurve(
                 label="delta0_omega0.02",
                 system=SystemParams(gamma=1.0, omega_c=0.02, omega_a=0.02),
-                g_chi=5.0,
-                gamma_chi=2.0,
+                overrides=_FIGURE3_OVERRIDES,
             ),
         ),
     ),
@@ -438,10 +448,7 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
     # balance condition at delta = kappa, once with the 4 omega^2 the
     # nonchiral curves use.  See the README note on this ambiguity.
     "figure4": FigurePreset(
-        parameter="phi_d",
-        lo=-math.pi,
-        hi=math.pi,
-        points=201,
+        sweep=Sweep("phi_d", -math.pi, math.pi, 201),
         engine="full",
         observable="g2",
         curves=(
@@ -465,10 +472,7 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
         ),
     ),
     "figure5": FigurePreset(
-        parameter="delta_s",
-        lo=-1.0,
-        hi=1.0,
-        points=41,
+        sweep=Sweep("delta_s", -1.0, 1.0, 41),
         engine="full",
         observable="g2",
         curves=(
@@ -479,10 +483,7 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
     ),
     # 76 points over [0.25, 4] puts gamma = kappa exactly on the grid.
     "figure6": FigurePreset(
-        parameter="gamma",
-        lo=0.25,
-        hi=4.0,
-        points=76,
+        sweep=Sweep("gamma", 0.25, 4.0, 76),
         engine="full",
         observable="g2",
         curves=(
@@ -492,10 +493,7 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
         ),
     ),
     "figure7": FigurePreset(
-        parameter="delta_s",
-        lo=-1.0,
-        hi=1.0,
-        points=41,
+        sweep=Sweep("delta_s", -1.0, 1.0, 41),
         engine="full",
         observable="rho_22",
         curves=(
@@ -506,56 +504,8 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
 }
 
 
-def _figure_rows(
-    preset: FigurePreset, cutoff: FockCutoff
-) -> tuple[list[str], list[list[float]]]:
-    grid = np.linspace(preset.lo, preset.hi, preset.points)
-    header = [preset.parameter] + [
-        f"{preset.observable}[{curve.label}]" for curve in preset.curves
-    ]
-    columns: list[list[float]] = []
-    for curve in preset.curves:
-        overrides = {}
-        if curve.g_chi is not None:
-            overrides["g_chi"] = curve.g_chi
-        if curve.gamma_chi is not None:
-            overrides["gamma_chi"] = curve.gamma_chi
-        spec = SweepSpec(
-            parameter=preset.parameter,
-            lo=preset.lo,
-            hi=preset.hi,
-            points=preset.points,
-            base=curve.system,
-            engine=preset.engine,
-            observables=(preset.observable,),
-            cutoff=cutoff,
-            overrides=overrides,
-        )
-        columns.append([row[1] for row in _sweep_rows(spec)])
-    rows = [
-        [float(grid[i])] + [col[i] for col in columns] for i in range(preset.points)
-    ]
-    return header, rows
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
-
-
-def _report_lines_point(
-    params: SystemParams, engine: str, cutoff: FockCutoff, overrides: dict[str, float]
-) -> list[str]:
-    names = OBSERVABLE_NAMES
-    values = _solve_point(params, engine, cutoff, names, overrides)
-    lines = []
-    for name in names:
-        value = values[name]
-        if name == "g2" and math.isnan(value):
-            lines.append("g2 = undefined (mean photon number below 1e-14)")
-        else:
-            lines.append(f"{name} = {_fmt(value)}")
-    lines.extend(_report_lines_dark(params))
-    return lines
+# Subcommands: each returns its output lines
 
 
 def _report_lines_dark(params: SystemParams) -> list[str]:
@@ -586,33 +536,25 @@ def _report_lines_dark(params: SystemParams) -> list[str]:
     return lines
 
 
-def cmd_point(args) -> int:
+def cmd_point(args) -> list[str]:
     ini = _load_ini(args.config)
     params = _parse_system(ini)
-    engine = _parse_engine(args, ini)
-    cutoff = _parse_cutoff(args, ini)
-    overrides = _engine_overrides(ini)
-    if overrides and engine != "truncated":
-        raise ConfigError("g_chi/gamma_chi overrides need engine=truncated")
-    lines = _report_lines_point(params, engine, cutoff, overrides)
-    stream, owned = _open_out(args.out)
-    try:
-        for line in _system_comment_lines(params):
-            stream.write(f"# {line}\n")
-        for line in lines:
-            stream.write(line + "\n")
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
+    values = _parse_engine(args, ini).observe(params, OBSERVABLE_NAMES)
+    lines = [f"# {line}" for line in _system_comment_lines(params)]
+    for name, value in values.items():
+        if name == "g2" and math.isnan(value):
+            lines.append("g2 = undefined (mean photon number below 1e-14)")
+        else:
+            lines.append(f"{name} = {_fmt(value)}")
+    return lines + _report_lines_dark(params)
 
 
-def cmd_darkcheck(args) -> int:
+def cmd_darkcheck(args) -> list[str]:
     ini = _load_ini(args.config)
     params = _parse_system(ini)
     dp = derive(params)
     single = dark_conditions_single(dp)
-    lines = [
+    lines = [f"# {line}" for line in _system_comment_lines(params)] + [
         f"single.omega_phi_zero = {'true' if single.omega_phi_zero else 'false'}",
         f"single.shift_zero = {'true' if single.shift_zero else 'false'}",
         f"single.omega_phi_residual = {_fmt(single.omega_phi_residual)}",
@@ -625,180 +567,88 @@ def cmd_darkcheck(args) -> int:
     else:
         lines.append(f"single.c1_abs = {_fmt(abs(amp.c1))}")
         lines.append(f"single.c_phi_abs = {_fmt(abs(amp.c_phi))}")
-    lines.extend(_report_lines_dark(params))
-    stream, owned = _open_out(args.out)
-    try:
-        for line in _system_comment_lines(params):
-            stream.write(f"# {line}\n")
-        for line in lines:
-            stream.write(line + "\n")
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
+    return lines + _report_lines_dark(params)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[str]:
     ini = _load_ini(args.config)
-    if not ini.has_section("sweep"):
-        raise ConfigError("sweep needs a [sweep] section")
-    section = ini["sweep"]
-    for key in section:
-        if key not in ("parameter", "lo", "hi", "points"):
-            raise ConfigError(f"[sweep] unknown key {key!r}")
-    parameter = section.get("parameter")
-    if parameter is None:
-        raise ConfigError("[sweep] parameter is required")
-    try:
-        points = int(section.get("points", ""))
-    except ValueError as exc:
-        raise ConfigError("[sweep] points must be an integer") from exc
-    spec = SweepSpec(
-        parameter=parameter,
-        lo=_get_float(section, "lo"),
-        hi=_get_float(section, "hi"),
-        points=points,
-        base=_parse_system(ini),
-        engine=_parse_engine(args, ini),
-        observables=_parse_observables(ini),
-        cutoff=_parse_cutoff(args, ini),
-        overrides=_engine_overrides(ini),
-    )
-    if spec.overrides and spec.engine != "truncated":
-        raise ConfigError("g_chi/gamma_chi overrides need engine=truncated")
-    rows = _sweep_rows(spec)
-    comments = [
-        "command = sweep",
-        f"sweep.parameter = {spec.parameter}",
-        f"sweep.lo = {_fmt(spec.lo)}",
-        f"sweep.hi = {_fmt(spec.hi)}",
-        f"sweep.points = {spec.points}",
-        f"engine.engine = {spec.engine}",
-        f"engine.cutoff = {spec.cutoff.n_max}",
-    ]
-    comments += [f"engine.{k} = {_fmt(v)}" for k, v in sorted(spec.overrides.items())]
-    comments += _system_comment_lines(spec.base)
-    header = [spec.parameter, *spec.observables]
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(stream, comments, header, rows)
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
+    sweep = _parse_sweep(ini)
+    base = _parse_system(ini)
+    engine = _parse_engine(args, ini)
+    names = _parse_observables(ini)
+    rows = sweep.rows(engine, base, names)
+    comments = ["command = sweep", *sweep.comments(engine), *_system_comment_lines(base)]
+    return _csv(comments, [sweep.parameter, *names], rows)
 
 
-def cmd_oracle_compare(args) -> int:
+def cmd_oracle_compare(args) -> list[str]:
     ini = _load_ini(args.config)
-    if _engine_overrides(ini):
+    if any(ini.has_option("engine", key) for key in _OVERRIDE_KEYS):
         raise ConfigError(
             "oracle-compare always uses the physically reachable coupling; "
             "remove g_chi/gamma_chi overrides"
         )
     params = _parse_system(ini)
     cutoff = _parse_cutoff(args, ini)
-    rho_full = steady_state(build_liouvillian(params, cutoff))
-    tp = trunc.from_system(params)
-    rho5 = trunc.truncated_steady(tp)
+    rho_full = Engine("full", cutoff).solve(params).rho
+    five = Engine("truncated").solve(params)
     # Compare on the retained five-state block: restrict the full state there
     # rather than padding the truncated one with zeros, so the distance is not
     # dominated by small full-space coherences into the discarded states.
     iso = coll.embedding_isometry(cutoff)
     block = iso.conj().T @ rho_full @ iso
-    distance = float(
-        np.linalg.norm(block - coll.collective_to_product(rho5, tp.cp))
-    )
+    distance = float(np.linalg.norm(block - coll.collective_to_product(five.rho, five.cp)))
     pops = np.real(np.diag(rho_full))
-    retained = {0, 1, 2, cutoff.fock_dim, cutoff.fock_dim + 1}
-    leaked = float(sum(pops[i] for i in range(cutoff.dim) if i not in retained))
-    lines = _system_comment_lines(params) + [
+    leaked = float(sum(pop for pop, kept in zip(pops, iso.any(axis=1)) if not kept))
+    return _system_comment_lines(params) + [
         f"cutoff = {cutoff.n_max}",
         f"frobenius_distance = {_fmt(distance)}",
         f"leaked_population = {_fmt(leaked)}",
     ]
-    stream, owned = _open_out(args.out)
-    try:
-        for line in lines:
-            stream.write(line + "\n")
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> list[str]:
     ini = _load_ini(args.config)
     params = _parse_system(ini)
-    if _parse_engine(args, ini) != "full":
+    if _engine_name(args, ini) != "full":
         raise ConfigError("converge studies the full engine's Fock cutoff")
     if args.cutoff is not None:
         raise ConfigError("converge takes its cutoff list from [engine] cutoffs")
-    if ini.has_option("engine", "cutoffs"):
-        raw = ini["engine"]["cutoffs"]
+    raw = ini.get("engine", "cutoffs", fallback=None)
+    if raw is None:
+        cutoffs = DEFAULT_CONVERGE_CUTOFFS
+    else:
         try:
             cutoffs = tuple(int(tok) for tok in raw.split(",") if tok.strip())
         except ValueError as exc:
             raise ConfigError(f"[engine] cutoffs = {raw!r} is not an integer list") from exc
-    else:
-        cutoffs = DEFAULT_CONVERGE_CUTOFFS
     if len(cutoffs) < 2:
         raise ConfigError("converge needs at least two cutoffs")
-    rows = []
-    previous: dict[str, float] | None = None
-    for n_max in cutoffs:
-        try:
-            cutoff = FockCutoff(n_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        values = _solve_point(params, "full", cutoff, ("mean_n", "g2", "purity"))
-        diff_n = math.nan if previous is None else abs(values["mean_n"] - previous["mean_n"])
-        diff_g2 = math.nan if previous is None else abs(values["g2"] - previous["g2"])
-        rows.append(
-            [n_max, values["mean_n"], values["g2"], values["purity"], diff_n, diff_g2]
-        )
-        previous = values
+    points = ((n_max, Engine("full", _cutoff(n_max)), params) for n_max in cutoffs)
+    table = _rows(points, DEFAULT_OBSERVABLES)
+    rows = [
+        row + [abs(row[1] - prev[1]), abs(row[2] - prev[2])]
+        for prev, row in zip([[math.nan] * 3] + table, table)
+    ]
     comments = ["command = converge"] + _system_comment_lines(params)
     header = ["n_max", "mean_n", "g2", "purity", "abs_diff_mean_n", "abs_diff_g2"]
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(stream, comments, header, rows)
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
+    return _csv(comments, header, rows)
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args) -> list[str]:
     preset = FIGURE_PRESETS[args.figure_id]
-    try:
-        cutoff = FockCutoff(args.cutoff if args.cutoff is not None else DEFAULT_CUTOFF)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    header, rows = _figure_rows(preset, cutoff)
-    comments = [
-        f"command = figure {args.figure_id}",
-        f"sweep.parameter = {preset.parameter}",
-        f"sweep.lo = {_fmt(preset.lo)}",
-        f"sweep.hi = {_fmt(preset.hi)}",
-        f"sweep.points = {preset.points}",
-        f"engine.engine = {preset.engine}",
-        f"engine.cutoff = {cutoff.n_max}",
-    ]
+    sweep = preset.sweep
+    cutoff = _cutoff(DEFAULT_CUTOFF if args.cutoff is None else args.cutoff)
+    comments = [f"command = figure {args.figure_id}", *sweep.comments(Engine(preset.engine, cutoff))]
+    columns = []
     for curve in preset.curves:
-        extras = ""
-        if curve.g_chi is not None:
-            extras += f" g_chi={_fmt(curve.g_chi)}"
-        if curve.gamma_chi is not None:
-            extras += f" gamma_chi={_fmt(curve.gamma_chi)}"
+        engine = Engine(preset.engine, cutoff, curve.overrides)
+        columns.append([row[1] for row in sweep.rows(engine, curve.system, (preset.observable,))])
+        extras = "".join(f" {k}={_fmt(v)}" for k, v in sorted(curve.overrides.items()))
         comments.append(f"curve {curve.label}:{extras}")
         comments += [f"  {line}" for line in _system_comment_lines(curve.system)]
-    stream, owned = _open_out(args.out)
-    try:
-        _write_csv(stream, comments, header, rows)
-    finally:
-        if owned:
-            stream.close()
-    return EXIT_OK
+    header = [sweep.parameter] + [f"{preset.observable}[{curve.label}]" for curve in preset.curves]
+    return _csv(comments, header, zip(sweep.grid(), *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -855,18 +705,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        lines = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        DegenerateSteadyStateError,
-        IntegrationFailureError,
-        PositivityError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (DegenerateSteadyStateError, IntegrationFailureError, PositivityError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    _write_output(lines, args.out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -184,6 +184,18 @@ def test_config_rejects_unknown_section(tmp_path, capsys):
     assert main(["point", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, entry",
+    [("engine", "cutof = 16"), ("output", "observabls = g2")],
+    ids=["engine", "output"],
+)
+def test_config_rejects_unknown_engine_and_output_keys(tmp_path, capsys, section, entry):
+    cfg = _write(tmp_path, f"{DARK_SYSTEM}\n[{section}]\n{entry}\n")
+    assert main(["point", "--config", cfg]) == 2
+    key = entry.split(" = ")[0]
+    assert f"config error: [{section}] unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_degenerate_point_exits_numerical(tmp_path, capsys):
     cfg = _write(
         tmp_path,

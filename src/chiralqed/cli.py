@@ -29,7 +29,7 @@ from .dark_state import (
 from .dynamics import (
     DegenerateSteadyStateError, IntegrationFailureError, PositivityError, steady_state,
 )
-from .fock_algebra import BasisLabel, FockCutoff
+from .fock_algebra import FockCutoff, composite_operators
 from .model import SystemParams, build_liouvillian, derive
 
 EXIT_OK = 0
@@ -68,6 +68,11 @@ def _fmt(value: float) -> str:
 # Observables, read the same way from either engine's steady state
 
 
+def _excited(rho: np.ndarray, sm: np.ndarray) -> float:
+    """Population of the atom's excited level, trace(sigma+ sigma rho)."""
+    return float(np.trace(sm.conj().T @ sm @ rho).real)
+
+
 class _FullState:
     """Steady state of the full engine at a Fock cutoff."""
 
@@ -85,7 +90,7 @@ class _FullState:
         return obs.mean_photon_number(self.rho, self._cutoff), obs.g2_zero(self.rho, self._cutoff)
 
     def excited(self) -> float:
-        return obs.population(self.rho, BasisLabel("g", 1))
+        return _excited(self.rho, composite_operators(self._cutoff)[1])
 
 
 class _FiveState:
@@ -100,7 +105,8 @@ class _FiveState:
         return obs.truncated_cavity_stats(self.rho, self.cp)
 
     def excited(self) -> float:
-        return float(coll.collective_to_product(self.rho, self.cp)[1, 1].real)
+        rho_product = coll.collective_to_product(self.rho, self.cp)
+        return _excited(rho_product, coll.product_five_ops()[1])
 
 
 def _collective(label: str):

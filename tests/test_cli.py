@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralqed import collective as coll
+from chiralqed import truncated_oracle as trunc
 from chiralqed.cli import _SYSTEM_KEYS, main
+from chiralqed.dynamics import steady_state
+from chiralqed.fock_algebra import FockCutoff
+from chiralqed.model import SystemParams, build_liouvillian
 
 DARK_SYSTEM = """
 [system]
@@ -84,6 +89,32 @@ def test_point_writes_output_file(tmp_path):
     out_file = tmp_path / "point.txt"
     assert main(["point", "--config", cfg, "--out", str(out_file)]) == 0
     assert "g2 = " in out_file.read_text()
+
+
+@pytest.mark.parametrize("engine", ["full", "truncated"])
+def test_rho_22_is_the_atom_excited_level(tmp_path, capsys, engine):
+    # figure7's omega = 0.09 curve at delta_s = 0.5, where the |g,1>
+    # population is 4.5% off the excited level
+    omega = 0.09
+    params = SystemParams(
+        delta_c=0.5, delta_a=0.5, omega_c=omega, omega_a=omega, e_mag=4 * omega**2
+    )
+    cfg = _write(
+        tmp_path,
+        f"[system]\ndelta_s = 0.5\nomega_c = {omega!r}\nomega_a = {omega!r}\n"
+        f"e_mag = {params.e_mag!r}\n[engine]\nengine = {engine}\ncutoff = 8\n",
+    )
+    assert main(["point", "--config", cfg]) == 0
+    rho_22 = float(_values(capsys.readouterr().out)["rho_22"])
+    if engine == "full":
+        cutoff = FockCutoff(8)
+        rho = steady_state(build_liouvillian(params, cutoff))
+        excited = range(cutoff.fock_dim, cutoff.dim)
+    else:
+        tp = trunc.from_system(params)
+        rho = coll.collective_to_product(trunc.truncated_steady(tp), tp.cp)
+        excited = (3, 4)  # |e,0> and |e,1> in the five-state product order
+    assert rho_22 == pytest.approx(sum(rho[i, i].real for i in excited), rel=1e-12)
 
 
 def test_point_truncated_engine_with_override(tmp_path, capsys):

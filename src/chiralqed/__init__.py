@@ -35,7 +35,6 @@ from .observables import ObservableSet, collect, g2_zero, mean_photon_number, po
 from .truncated_oracle import (
     TruncatedParams,
     truncated_liouvillian,
-    truncated_rhs,
     truncated_steady,
 )
 
@@ -80,6 +79,5 @@ __all__ = [
     "purity",
     "steady_state",
     "truncated_liouvillian",
-    "truncated_rhs",
     "truncated_steady",
 ]

@@ -210,18 +210,9 @@ def effective_hamiltonian_5(params: SystemParams, cp: CollectiveParams) -> np.nd
     )
 
 
-def product_to_collective(rho5: np.ndarray, cp: CollectiveParams) -> np.ndarray:
-    """Rotate a product-basis matrix over the five retained states into the
-    collective basis."""
-    rho5 = np.asarray(rho5, dtype=complex)
-    if rho5.shape != (5, 5):
-        raise ValueError(f"expected a 5x5 matrix, got {rho5.shape}")
-    unitary = basis_change_matrix(cp)
-    return unitary.conj().T @ rho5 @ unitary
-
-
 def collective_to_product(rho5: np.ndarray, cp: CollectiveParams) -> np.ndarray:
-    """Inverse rotation of product_to_collective."""
+    """Rotate a collective-basis matrix into the product basis of the five
+    retained states."""
     rho5 = np.asarray(rho5, dtype=complex)
     if rho5.shape != (5, 5):
         raise ValueError(f"expected a 5x5 matrix, got {rho5.shape}")

@@ -65,15 +65,6 @@ def label_to_index(label: BasisLabel, cutoff: FockCutoff) -> int:
     return _ATOM_INDEX[label.atom] * cutoff.fock_dim + label.photons
 
 
-def index_to_label(index: int, cutoff: FockCutoff) -> BasisLabel:
-    """Inverse of label_to_index."""
-    if not 0 <= index < cutoff.dim:
-        raise ValueError(f"index {index} out of range for dimension {cutoff.dim}")
-    atom_idx, photons = divmod(index, cutoff.fock_dim)
-    atom = ATOM_GROUND if atom_idx == 0 else ATOM_EXCITED
-    return BasisLabel(atom=atom, photons=photons)
-
-
 def _as_n_max(cutoff: FockCutoff | int) -> int:
     # Bare ints below 2 are allowed here so the ladder algebra can be
     # exercised on tiny spaces; FockCutoff itself stays strict.

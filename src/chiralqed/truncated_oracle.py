@@ -92,21 +92,6 @@ def truncated_liouvillian(p: TruncatedParams) -> np.ndarray:
     return lv + dissipator(bright_operator(p), p.gamma_chi)
 
 
-def truncated_rhs(rho: np.ndarray, p: TruncatedParams) -> np.ndarray:
-    """Time derivative of a 5x5 collective-basis density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (5, 5):
-        raise ValueError(f"expected a 5x5 density matrix, got {rho.shape}")
-    h = truncated_hamiltonian(p)
-    bright = bright_operator(p)
-    bright_d = bright.conj().T
-    sink = bright_d @ bright
-    out = -1j * (h @ rho - rho @ h)
-    out = out + p.gamma_chi * (bright @ rho @ bright_d)
-    out = out - 0.5 * p.gamma_chi * (sink @ rho + rho @ sink)
-    return out
-
-
 def truncated_steady(p: TruncatedParams) -> np.ndarray:
     """Steady state of the five-state model.
 

@@ -7,6 +7,12 @@ every operator from scratch with plain numpy, so it shares no code path
 with ``chiralqed.model.build_liouvillian``, which assembles the same
 generator out of local and directional cross dissipators.  Agreement
 between the two is therefore a real cross-check, not a tautology.
+
+``truncated_rhs`` is the matching reference for the five-state model: it
+applies the Hamiltonian and the bright-polariton dissipator to a density
+matrix directly, where ``chiralqed.truncated_oracle`` builds a generator.
+``index_to_label`` and ``product_to_collective`` invert library maps so the
+tests can check round trips.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ import math
 import numpy as np
 import pytest
 
+from chiralqed import collective as coll
+from chiralqed import truncated_oracle as trunc
+from chiralqed.fock_algebra import BasisLabel, FockCutoff
 from chiralqed.model import SystemParams
 
 
@@ -64,6 +73,39 @@ def cascade_liouvillian(params: SystemParams, n_max: int) -> np.ndarray:
     return lv
 
 
+def truncated_rhs(rho: np.ndarray, p: trunc.TruncatedParams) -> np.ndarray:
+    """Time derivative of a 5x5 collective-basis density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (5, 5):
+        raise ValueError(f"expected a 5x5 density matrix, got {rho.shape}")
+    h = trunc.truncated_hamiltonian(p)
+    bright = trunc.bright_operator(p)
+    bright_d = bright.conj().T
+    sink = bright_d @ bright
+    out = -1j * (h @ rho - rho @ h)
+    out = out + p.gamma_chi * (bright @ rho @ bright_d)
+    out = out - 0.5 * p.gamma_chi * (sink @ rho + rho @ sink)
+    return out
+
+
+def index_to_label(index: int, cutoff: FockCutoff) -> BasisLabel:
+    """Inverse of chiralqed.fock_algebra.label_to_index."""
+    if not 0 <= index < cutoff.dim:
+        raise ValueError(f"index {index} out of range for dimension {cutoff.dim}")
+    atom_idx, photons = divmod(index, cutoff.fock_dim)
+    return BasisLabel(atom="ge"[atom_idx], photons=photons)
+
+
+def product_to_collective(rho5: np.ndarray, cp: coll.CollectiveParams) -> np.ndarray:
+    """Rotate a product-basis matrix over the five retained states into the
+    collective basis; the inverse of chiralqed.collective.collective_to_product."""
+    rho5 = np.asarray(rho5, dtype=complex)
+    if rho5.shape != (5, 5):
+        raise ValueError(f"expected a 5x5 matrix, got {rho5.shape}")
+    unitary = coll.basis_change_matrix(cp)
+    return unitary.conj().T @ rho5 @ unitary
+
+
 def project_liouvillian_to_block(lv_full, cp, cutoff) -> np.ndarray:
     """Restrict a product-space generator to the retained five-state block.
 
@@ -73,8 +115,6 @@ def project_liouvillian_to_block(lv_full, cp, cutoff) -> np.ndarray:
     genuine compression (amplitudes leaving the block are discarded, the
     same truncation the five-state model makes).
     """
-    from chiralqed import collective as coll
-
     iso = coll.embedding_isometry(cutoff)
     unitary = coll.basis_change_matrix(cp)
     embed = np.kron(iso.conj(), iso)

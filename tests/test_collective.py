@@ -10,7 +10,7 @@ from chiralqed import truncated_oracle as trunc
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian, derive
 
-from conftest import project_liouvillian_to_block, random_density
+from conftest import product_to_collective, project_liouvillian_to_block, random_density
 
 SQRT2 = math.sqrt(2.0)
 
@@ -259,9 +259,9 @@ def test_effective_hamiltonian_5_weight_check():
 def test_basis_rotation_round_trip(rng):
     cp = _random_gauge(rng)
     rho = random_density(rng, 5)
-    back = coll.collective_to_product(coll.product_to_collective(rho, cp), cp)
+    back = coll.collective_to_product(product_to_collective(rho, cp), cp)
     np.testing.assert_allclose(back, rho, atol=1e-14)
-    rho_coll = coll.product_to_collective(rho, cp)
+    rho_coll = product_to_collective(rho, cp)
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvalsh(rho_coll)),
         np.sort(np.linalg.eigvalsh(rho)),
@@ -273,7 +273,7 @@ def test_ground_state_gauge_invariant(rng):
     cp = _random_gauge(rng)
     rho = np.zeros((5, 5), dtype=complex)
     rho[0, 0] = 1.0
-    np.testing.assert_allclose(coll.product_to_collective(rho, cp), rho, atol=1e-15)
+    np.testing.assert_allclose(product_to_collective(rho, cp), rho, atol=1e-15)
 
 
 def test_embedding_isometry():

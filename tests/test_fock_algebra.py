@@ -9,10 +9,11 @@ from chiralqed.fock_algebra import (
     annihilation,
     atom_lowering,
     composite_operators,
-    index_to_label,
     kron,
     label_to_index,
 )
+
+from conftest import index_to_label
 
 
 def test_annihilation_two_levels():

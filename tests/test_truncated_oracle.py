@@ -15,7 +15,7 @@ from chiralqed.dynamics import (
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian, derive
 
-from conftest import random_density
+from conftest import random_density, truncated_rhs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,7 +78,7 @@ def test_rhs_matches_liouvillian_route(rng):
     lv = trunc.truncated_liouvillian(tp)
     for _ in range(5):
         rho = random_density(rng, 5)
-        direct = trunc.truncated_rhs(rho, tp)
+        direct = truncated_rhs(rho, tp)
         via_superop = devectorize(lv @ vectorize(rho))
         np.testing.assert_allclose(direct, via_superop, atol=1e-13)
 
@@ -87,7 +87,7 @@ def test_rhs_traceless_and_hermitian(rng):
     tp = trunc.from_system(GENERIC)
     for _ in range(10):
         rho = random_density(rng, 5)
-        drho = trunc.truncated_rhs(rho, tp)
+        drho = truncated_rhs(rho, tp)
         assert abs(np.trace(drho)) < 1e-14
         np.testing.assert_allclose(drho, drho.conj().T, atol=1e-13)
 
@@ -95,7 +95,7 @@ def test_rhs_traceless_and_hermitian(rng):
 def test_rhs_shape_check():
     tp = trunc.from_system(GENERIC)
     with pytest.raises(ValueError):
-        trunc.truncated_rhs(np.eye(4, dtype=complex) / 4, tp)
+        truncated_rhs(np.eye(4, dtype=complex) / 4, tp)
 
 
 def test_symmetric_single_state_decays_at_collective_rate():
@@ -103,7 +103,7 @@ def test_symmetric_single_state_decays_at_collective_rate():
     tp = trunc.from_system(p)
     rho = np.zeros((5, 5), dtype=complex)
     rho[1, 1] = 1.0
-    drho = trunc.truncated_rhs(rho, tp)
+    drho = truncated_rhs(rho, tp)
     assert drho[1, 1].real == pytest.approx(-tp.gamma_chi)
     assert drho[0, 0].real == pytest.approx(tp.gamma_chi)
 
@@ -114,7 +114,7 @@ def test_antisymmetric_state_feeds_coherence_only():
     tp = trunc.from_system(p)
     rho = np.zeros((5, 5), dtype=complex)
     rho[2, 2] = 1.0
-    drho = trunc.truncated_rhs(rho, tp)
+    drho = truncated_rhs(rho, tp)
     assert drho[2, 2] == pytest.approx(0.0, abs=1e-15)
     assert drho[1, 2] == pytest.approx(-tp.g_chi)
     assert drho[2, 1] == pytest.approx(-tp.g_chi)
@@ -125,7 +125,7 @@ def test_double_states_feed_singles_at_tabulated_rates(rng):
     rates = coll.collective_rates(tp.cp, tp.gamma_chi)
     p_xi, p_zeta = rng.uniform(0.2, 0.5, size=2)
     rho = np.diag([1 - p_xi - p_zeta, 0.0, 0.0, p_xi, p_zeta]).astype(complex)
-    drho = trunc.truncated_rhs(rho, tp)
+    drho = truncated_rhs(rho, tp)
     # remove the coherent-drive contribution to isolate the decay feed
     h = trunc.truncated_hamiltonian(tp)
     coherent = -1j * (h @ rho - rho @ h)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from chiralqed import collective as coll
 from chiralqed import truncated_oracle as trunc
-from chiralqed.cli import _SYSTEM_KEYS, main
+from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, main
 from chiralqed.dynamics import steady_state
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
@@ -82,13 +82,6 @@ def test_point_dark_state_report(tmp_path, capsys):
     # resolved configuration is echoed in the comment header
     assert "# system.omega_c = 0.01" in out
     assert "# system.delta_s = 0" in out
-
-
-def test_point_writes_output_file(tmp_path):
-    cfg = _write(tmp_path, DARK_SYSTEM)
-    out_file = tmp_path / "point.txt"
-    assert main(["point", "--config", cfg, "--out", str(out_file)]) == 0
-    assert "g2 = " in out_file.read_text()
 
 
 @pytest.mark.parametrize("engine", ["full", "truncated"])
@@ -520,3 +513,59 @@ def test_figure_preset_truncated_population(tmp_path, capsys):
 def test_figure_rejects_unknown_id():
     with pytest.raises(SystemExit):
         main(["figure", "figure99"])
+
+
+def _csv_columns(text):
+    """Header and columns of a CSV, as the printed strings."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    return lines[0].split(","), list(zip(*(ln.split(",") for ln in lines[1:])))
+
+
+def test_figure_columns_match_sweeps(tmp_path, capsys):
+    preset = FIGURE_PRESETS["figure5"]
+    assert main(["figure", "figure5", "--cutoff", "4"]) == 0
+    header, columns = _csv_columns(capsys.readouterr().out)
+    assert len(header) == len(preset.curves) + 1
+    sweep = preset.sweep
+    for k, curve in enumerate(preset.curves, start=1):
+        system = "".join(
+            f"{field} = {getattr(curve.system, field)!r}\n"
+            for field in ("gamma", "chi", "delta_c", "delta_a", "omega_c", "omega_a",
+                          "e_mag", "phi_d", "x_phase")
+        )
+        cfg = _write(
+            tmp_path,
+            f"[system]\n{system}"
+            f"[sweep]\nparameter = {sweep.parameter}\nlo = {sweep.lo!r}\n"
+            f"hi = {sweep.hi!r}\npoints = {sweep.points}\n"
+            f"[engine]\nengine = {preset.engine}\ncutoff = 4\n"
+            f"[output]\nobservables = {preset.observable}\n",
+            name=f"curve{k}.ini",
+        )
+        assert main(["sweep", "--config", cfg]) == 0
+        _, swept = _csv_columns(capsys.readouterr().out)
+        assert swept[0] == columns[0]
+        assert swept[1] == columns[k]
+
+
+OUT_CASES = {
+    "point": (["point", "--cutoff", "4"], DARK_SYSTEM),
+    "sweep": (["sweep"], SWEEP_CONFIG),
+    "darkcheck": (["darkcheck"], DARK_SYSTEM),
+    "oracle-compare": (["oracle-compare", "--cutoff", "4"], DARK_SYSTEM),
+    "converge": (["converge"], DARK_SYSTEM + "[engine]\ncutoffs = 3, 4\n"),
+    "figure": (["figure", "figure5", "--cutoff", "3"], None),
+}
+
+
+@pytest.mark.parametrize("command", OUT_CASES)
+def test_point_writes_output_file(tmp_path, capsys, command):
+    argv, body = OUT_CASES[command]
+    if body is not None:
+        argv = argv + ["--config", _write(tmp_path, body)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out_file = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out_file.read_bytes() == printed.encode("utf-8")

@@ -23,11 +23,17 @@ from . import collective as coll
 from . import observables as obs
 from . import truncated_oracle as trunc
 from .dark_state import (
-    DarkStateError, dark_conditions_double, dark_conditions_single,
-    dfs_requirements_double, dfs_state_single,
+    DarkStateError,
+    dark_conditions_double,
+    dark_conditions_single,
+    dfs_requirements_double,
+    dfs_state_single,
 )
 from .dynamics import (
-    DegenerateSteadyStateError, IntegrationFailureError, PositivityError, steady_state,
+    DegenerateSteadyStateError,
+    IntegrationFailureError,
+    PositivityError,
+    steady_state,
 )
 from .fock_algebra import FockCutoff, composite_operators
 from .model import SystemParams, build_liouvillian, derive
@@ -126,7 +132,6 @@ OBSERVABLES = {
     "rho_xixi": _collective("xi"),
     "rho_zetazeta": _collective("zeta"),
 }
-OBSERVABLE_NAMES = tuple(OBSERVABLES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,7 +238,7 @@ class Sweep:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config parsing and output
 
 
 def _load_ini(path: str | None) -> configparser.ConfigParser:
@@ -271,8 +276,7 @@ def _parse_system(ini: configparser.ConfigParser) -> SystemParams:
     section = ini["system"]
     values = {key: _get_float(section, key) for key in section}
 
-    kappa = values.pop("kappa", 1.0)
-    if kappa != 1.0:
+    if values.pop("kappa", 1.0) != 1.0:
         raise ConfigError("all rates are in cavity-linewidth units; kappa is fixed to 1")
 
     has_sum_diff = "delta_s" in values or "delta" in values
@@ -340,7 +344,7 @@ def _parse_observables(ini: configparser.ConfigParser) -> tuple[str, ...]:
     for name in names:
         if name not in OBSERVABLES:
             raise ConfigError(
-                f"unknown observable {name!r}; choose from {', '.join(OBSERVABLE_NAMES)}"
+                f"unknown observable {name!r}; choose from {', '.join(OBSERVABLES)}"
             )
     return names
 
@@ -357,10 +361,6 @@ def _parse_sweep(ini: configparser.ConfigParser) -> Sweep:
     except ValueError as exc:
         raise ConfigError("[sweep] points must be an integer") from exc
     return Sweep(parameter, _get_float(section, "lo"), _get_float(section, "hi"), points)
-
-
-# ---------------------------------------------------------------------------
-# Output
 
 
 def _system_comment_lines(params: SystemParams) -> list[str]:
@@ -514,6 +514,13 @@ FIGURE_PRESETS: dict[str, FigurePreset] = {
 # Subcommands: each returns its output lines
 
 
+def _polar_lines(name: str, value: complex) -> list[str]:
+    return [
+        f"{name}_abs = {_fmt(abs(value))}",
+        f"{name}_phase = {_fmt(math.atan2(value.imag, value.real))}",
+    ]
+
+
 def _report_lines_dark(params: SystemParams) -> list[str]:
     report = dark_conditions_double(params)
     lines = []
@@ -525,27 +532,20 @@ def _report_lines_dark(params: SystemParams) -> list[str]:
     if report.required_E is None:
         lines.append("required_E = undefined (pump phase is free or no finite pump works)")
     else:
-        req = report.required_E
-        lines.append(f"required_E_abs = {_fmt(abs(req))}")
-        lines.append(f"required_E_phase = {_fmt(math.atan2(req.imag, req.real))}")
+        lines += _polar_lines("required_E", report.required_E)
     try:
         ratio, required = dfs_requirements_double(params)
     except DarkStateError as exc:
         lines.append(f"dfs_requirements = unavailable ({exc})")
     else:
-        lines.append(f"dfs_ratio_abs = {_fmt(abs(ratio))}")
-        lines.append(f"dfs_ratio_phase = {_fmt(math.atan2(ratio.imag, ratio.real))}")
-        lines.append(f"dfs_required_E_abs = {_fmt(abs(required))}")
-        lines.append(
-            f"dfs_required_E_phase = {_fmt(math.atan2(required.imag, required.real))}"
-        )
+        lines += _polar_lines("dfs_ratio", ratio) + _polar_lines("dfs_required_E", required)
     return lines
 
 
 def cmd_point(args) -> list[str]:
     ini = _load_ini(args.config)
     params = _parse_system(ini)
-    values = _parse_engine(args, ini).observe(params, OBSERVABLE_NAMES)
+    values = _parse_engine(args, ini).observe(params, OBSERVABLES)
     lines = [f"# {line}" for line in _system_comment_lines(params)]
     for name, value in values.items():
         if name == "g2" and math.isnan(value):
@@ -636,28 +636,42 @@ def cmd_converge(args) -> list[str]:
         row + [abs(row[1] - prev[1]), abs(row[2] - prev[2])]
         for prev, row in zip([[math.nan] * 3] + table, table)
     ]
-    comments = ["command = converge"] + _system_comment_lines(params)
     header = ["n_max", "mean_n", "g2", "purity", "abs_diff_mean_n", "abs_diff_g2"]
-    return _csv(comments, header, rows)
+    return _csv(["command = converge"] + _system_comment_lines(params), header, rows)
 
 
 def cmd_figure(args) -> list[str]:
     preset = FIGURE_PRESETS[args.figure_id]
     sweep = preset.sweep
     cutoff = _cutoff(DEFAULT_CUTOFF if args.cutoff is None else args.cutoff)
-    comments = [f"command = figure {args.figure_id}", *sweep.comments(Engine(preset.engine, cutoff))]
-    columns = []
+    comments = [f"command = figure {args.figure_id}"]
+    comments += sweep.comments(Engine(preset.engine, cutoff))
+    header, columns = [sweep.parameter], []
     for curve in preset.curves:
         engine = Engine(preset.engine, cutoff, curve.overrides)
-        columns.append([row[1] for row in sweep.rows(engine, curve.system, (preset.observable,))])
+        rows = sweep.rows(engine, curve.system, (preset.observable,))
+        columns.append([row[1] for row in rows])
+        header.append(f"{preset.observable}[{curve.label}]")
         extras = "".join(f" {k}={_fmt(v)}" for k, v in sorted(curve.overrides.items()))
         comments.append(f"curve {curve.label}:{extras}")
         comments += [f"  {line}" for line in _system_comment_lines(curve.system)]
-    header = [sweep.parameter] + [f"{preset.observable}[{curve.label}]" for curve in preset.curves]
     return _csv(comments, header, zip(sweep.grid(), *columns))
 
 
 # ---------------------------------------------------------------------------
+
+
+# Subcommand -> (handler, help, options besides --out).
+_COMMANDS = {
+    "point": (cmd_point, "steady-state report at one parameter set",
+              ("--config", "--cutoff", "--engine")),
+    "sweep": (cmd_sweep, "sweep one parameter, emit CSV", ("--config", "--cutoff", "--engine")),
+    "darkcheck": (cmd_darkcheck, "dark-state conditions and residuals", ("--config",)),
+    "oracle-compare": (cmd_oracle_compare, "five-state oracle vs full steady state",
+                       ("--config", "--cutoff")),
+    "converge": (cmd_converge, "observables vs Fock cutoff", ("--config", "--cutoff", "--engine")),
+    "figure": (cmd_figure, "run a named preset sweep", ("figure_id", "--cutoff")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -667,43 +681,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "waveguide-coupled atom and two-photon-pumped cavity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, engine: bool = True) -> None:
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--cutoff", type=int, help="Fock cutoff n_max")
-        if engine:
-            p.add_argument("--engine", choices=("full", "truncated"))
-
-    p_point = sub.add_parser("point", help="steady-state report at one parameter set")
-    add_common(p_point)
-    p_point.set_defaults(func=cmd_point)
-
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit CSV")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_dark = sub.add_parser("darkcheck", help="dark-state conditions and residuals")
-    p_dark.add_argument("--config", help="INI config file")
-    p_dark.add_argument("--out", help="output file (default stdout)")
-    p_dark.set_defaults(func=cmd_darkcheck)
-
-    p_oracle = sub.add_parser(
-        "oracle-compare", help="five-state oracle vs full steady state"
-    )
-    add_common(p_oracle, engine=False)
-    p_oracle.set_defaults(func=cmd_oracle_compare)
-
-    p_conv = sub.add_parser("converge", help="observables vs Fock cutoff")
-    add_common(p_conv)
-    p_conv.set_defaults(func=cmd_converge)
-
-    p_fig = sub.add_parser("figure", help="run a named preset sweep")
-    p_fig.add_argument("figure_id", choices=sorted(FIGURE_PRESETS))
-    p_fig.add_argument("--out", help="output file (default stdout)")
-    p_fig.add_argument("--cutoff", type=int, help="Fock cutoff n_max")
-    p_fig.set_defaults(func=cmd_figure)
-
+    options = {
+        "figure_id": {"choices": sorted(FIGURE_PRESETS)},
+        "--config": {"help": "INI config file"},
+        "--out": {"help": "output file (default stdout)"},
+        "--cutoff": {"type": int, "help": "Fock cutoff n_max"},
+        "--engine": {"choices": ("full", "truncated")},
+    }
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options.items():
+            if flag == "--out" or flag in flags:
+                command.add_argument(flag, **kwargs)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -715,8 +705,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateSteadyStateError, IntegrationFailureError, PositivityError,
-            np.linalg.LinAlgError) as exc:
+    except (
+        DegenerateSteadyStateError,
+        IntegrationFailureError,
+        PositivityError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_output(lines, args.out)

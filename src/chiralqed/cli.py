@@ -142,8 +142,8 @@ class Engine:
     five-state model, whose g_chi and gamma_chi may be overridden.
     """
 
-    name: str = "full"
-    cutoff: FockCutoff = FockCutoff(DEFAULT_CUTOFF)
+    name: str
+    cutoff: FockCutoff
     overrides: dict[str, float] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -597,7 +597,7 @@ def cmd_oracle_compare(args) -> list[str]:
     params = _parse_system(ini)
     cutoff = _parse_cutoff(args, ini)
     rho_full = Engine("full", cutoff).solve(params).rho
-    five = Engine("truncated").solve(params)
+    five = Engine("truncated", cutoff).solve(params)
     # Compare on the retained five-state block: restrict the full state there
     # rather than padding the truncated one with zeros, so the distance is not
     # dominated by small full-space coherences into the discarded states.

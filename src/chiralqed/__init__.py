@@ -24,7 +24,6 @@ from .dark_state import (
 )
 from .dynamics import (
     DegenerateSteadyStateError,
-    IntegrationFailureError,
     PositivityError,
     evolve,
     steady_state,
@@ -50,7 +49,6 @@ __all__ = [
     "DegenerateSteadyStateError",
     "DerivedParams",
     "FockCutoff",
-    "IntegrationFailureError",
     "ObservableSet",
     "PositivityError",
     "SystemParams",

@@ -14,6 +14,7 @@ import configparser
 import dataclasses
 import functools
 import math
+import os
 import sys
 from typing import Iterable
 
@@ -31,7 +32,6 @@ from .dark_state import (
 )
 from .dynamics import (
     DegenerateSteadyStateError,
-    IntegrationFailureError,
     PositivityError,
     steady_state,
 )
@@ -154,7 +154,10 @@ class Engine:
         if self.name == "full":
             rho = steady_state(build_liouvillian(params, self.cutoff))
             return _FullState(rho, self.cutoff, params)
-        tp = dataclasses.replace(trunc.from_system(params), **self.overrides)
+        try:
+            tp = dataclasses.replace(trunc.from_system(params), **self.overrides)
+        except ValueError as exc:
+            raise ConfigError(f"[engine] {exc}") from exc
         return _FiveState(trunc.truncated_steady(tp), tp.cp)
 
     def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:
@@ -382,6 +385,22 @@ def _csv(
     ]
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any solve runs.
+
+    The probe opens for appending, so an existing file keeps its contents,
+    and a file it had to create is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path!r}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _write_output(lines: list[str], path: str | None) -> None:
     """The one place command output is written: stdout, or the --out file."""
     text = "".join(f"{line}\n" for line in lines)
@@ -587,13 +606,17 @@ def cmd_sweep(args) -> list[str]:
     return _csv(comments, [sweep.parameter, *names], rows)
 
 
-def cmd_oracle_compare(args) -> list[str]:
-    ini = _load_ini(args.config)
+def _reject_overrides(ini: configparser.ConfigParser, command: str) -> None:
     if any(ini.has_option("engine", key) for key in _OVERRIDE_KEYS):
         raise ConfigError(
-            "oracle-compare always uses the physically reachable coupling; "
+            f"{command} always uses the physically reachable coupling; "
             "remove g_chi/gamma_chi overrides"
         )
+
+
+def cmd_oracle_compare(args) -> list[str]:
+    ini = _load_ini(args.config)
+    _reject_overrides(ini, "oracle-compare")
     params = _parse_system(ini)
     cutoff = _parse_cutoff(args, ini)
     rho_full = Engine("full", cutoff).solve(params).rho
@@ -618,6 +641,7 @@ def cmd_converge(args) -> list[str]:
     params = _parse_system(ini)
     if _engine_name(args, ini) != "full":
         raise ConfigError("converge studies the full engine's Fock cutoff")
+    _reject_overrides(ini, "converge")
     if args.cutoff is not None:
         raise ConfigError("converge takes its cutoff list from [engine] cutoffs")
     raw = ini.get("engine", "cutoffs", fallback=None)
@@ -701,13 +725,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         lines = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
         DegenerateSteadyStateError,
-        IntegrationFailureError,
         PositivityError,
         np.linalg.LinAlgError,
     ) as exc:

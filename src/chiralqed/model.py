@@ -9,6 +9,7 @@ kron(I, A) and right multiplication by B is kron(B^T, I).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -120,25 +121,28 @@ def derive(params: SystemParams) -> DerivedParams:
     )
 
 
-def _left(op: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(op.shape[0], dtype=complex), op)
+def lindblad(h, jumps):
+    """Generator of -i [h, rho] + sum_c (c rho c+ - 1/2 {c+ c, rho}).
 
-
-def _right(op: np.ndarray) -> np.ndarray:
-    return np.kron(op.T, np.eye(op.shape[0], dtype=complex))
-
-
-def _sparse_kron(left: np.ndarray, right: np.ndarray):
-    return scipy.sparse.kron(
-        scipy.sparse.csr_array(left), scipy.sparse.csr_array(right), format="csr"
-    )
-
-
-def dissipator(collapse: np.ndarray, rate: float) -> np.ndarray:
-    """Superoperator for (rate/2) (2 c rho c+ - c+ c rho - rho c+ c)."""
-    cdc = collapse.conj().T @ collapse
-    sandwich = np.kron(collapse.conj(), collapse)
-    return 0.5 * rate * (2.0 * sandwich - _left(cdc) - _right(cdc))
+    Assembled as I (x) X + conj(X) (x) I + sum_c conj(c) (x) c with
+    X = -i h - 1/2 sum_c c+ c, in the column-stacking convention.  Rates
+    live in the jump operators.  Scipy-sparse operators give a CSR array;
+    dense ones a dense array.
+    """
+    dim = h.shape[0]
+    if scipy.sparse.issparse(h):
+        kron = functools.partial(scipy.sparse.kron, format="csr")
+        eye = scipy.sparse.csr_array(np.eye(dim, dtype=complex))
+    else:
+        kron = np.kron
+        eye = np.eye(dim, dtype=complex)
+    x = -1j * h
+    for c in jumps:
+        x = x - 0.5 * (c.conj().T @ c)
+    lv = kron(eye, x) + kron(x.conj(), eye)
+    for c in jumps:
+        lv = lv + kron(c.conj(), c)
+    return lv
 
 
 def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
@@ -157,46 +161,34 @@ def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
 def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
     """Master-equation generator L with vec(rho_dot) = L vec(rho), as sparse CSR.
 
-    At the reference placement (x_phase a multiple of 2 pi) the dissipation
-    consists of local cavity and atom decay at rates kappa (1 + chi) and
-    gamma (1 + chi) plus directional cross terms at sqrt(kappa gamma) in the
-    forward direction and chi sqrt(kappa gamma) in the backward direction.
-    A general placement scales both cross terms by cos(x_phase) and adds the
-    coherent exchange omega_ac (sigma+ a + a+ sigma-) with
-    omega_ac = sqrt(kappa gamma) sin(x_phase).
+    The cavity and the atom are cascaded through both waveguide directions
+    (Gardiner, PRL 70, 2269 (1993); Carmichael, PRL 70, 2273 (1993)), each
+    direction an SLH series product.  With p = exp(i x_phase), the
+    right-moving channel carries the cavity output on to the atom:
+    jump c_R = sqrt(gamma) sigma + p sqrt(kappa) a and Hamiltonian
+    H_R = (1/2i) sqrt(kappa gamma) (p sigma+ a - conj(p) a+ sigma).  The
+    left-moving channel, present when chi > 0, runs the other way:
+    c_L = sqrt(chi kappa) a + p sqrt(chi gamma) sigma and
+    H_L = (1/2i) chi sqrt(kappa gamma) (p a+ sigma - conj(p) sigma+ a).
+    At chi = 0 no atomic parameter reaches the cavity's reduced state.
 
-    The placement phase is argument-reduced before taking cos and sin, so
-    multiples of 2 pi reproduce the reference generator entrywise.
-
-    Every term is a left multiplication, a right multiplication or a
-    sandwich, so L is assembled from four sparse Kronecker products,
-    I (x) X_L + X_R^T (x) I + a* (x) J_a + sigma* (x) J_sigma, with small
-    dense D x D factors.  Call .toarray() on the result for the dense matrix.
+    The placement phase is argument-reduced first, so multiples of 2 pi
+    reproduce the reference generator entrywise.  Call .toarray() on the
+    result for the dense matrix.
     """
     a, sm = composite_operators(cutoff)
-    ad = a.conj().T
-    sp = sm.conj().T
-    ad_sm = ad @ sm
-    sp_a = sp @ a
-    rate_a = params.kappa * (1.0 + params.chi)
-    rate_s = params.gamma * (1.0 + params.chi)
+    sp_a = sm.conj().T @ a
+    ad_sm = a.conj().T @ sm
+    p = cmath.rect(1.0, math.remainder(params.x_phase, math.tau))
     root = math.sqrt(params.kappa * params.gamma)
-    x = math.remainder(params.x_phase, math.tau)
-    cross = root * math.cos(x)
-    coherent = build_hamiltonian(params, cutoff) + root * math.sin(x) * (sp_a + ad_sm)
-    sink = -0.5 * (rate_a * (ad @ a) + rate_s * (sp @ sm))
-    # The forward cross term (the cavity output drives the atom) puts
-    # sigma+ a on the left and a+ sigma on the right; the backward one,
-    # weighted by chi, the reverse.  Both feed the same sandwich terms.
-    x_left = -1j * coherent + sink - cross * (sp_a + params.chi * ad_sm)
-    x_right = 1j * coherent + sink - cross * (ad_sm + params.chi * sp_a)
-    sandwich = (1.0 + params.chi) * cross
-
-    eye = np.eye(cutoff.dim, dtype=complex)
-    lv = (
-        _sparse_kron(eye, x_left)
-        + _sparse_kron(x_right.T, eye)
-        + _sparse_kron(a.conj(), rate_a * a + sandwich * sm)
-        + _sparse_kron(sm.conj(), rate_s * sm + sandwich * a)
-    )
-    return scipy.sparse.csr_array(lv)
+    h = build_hamiltonian(params, cutoff)
+    h = h - 0.5j * root * (p * sp_a - p.conjugate() * ad_sm)
+    h = h - 0.5j * params.chi * root * (p * ad_sm - p.conjugate() * sp_a)
+    jumps = [math.sqrt(params.gamma) * sm + p * math.sqrt(params.kappa) * a]
+    if params.chi > 0:
+        jumps.append(
+            math.sqrt(params.chi * params.kappa) * a
+            + p * math.sqrt(params.chi * params.gamma) * sm
+        )
+    csr = scipy.sparse.csr_array
+    return lindblad(csr(h), [csr(c) for c in jumps])

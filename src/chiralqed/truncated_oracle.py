@@ -15,7 +15,7 @@ import numpy as np
 
 from . import collective as coll
 from .dynamics import steady_state
-from .model import SystemParams, derive, dissipator
+from .model import SystemParams, derive, lindblad
 
 SQRT2 = math.sqrt(2.0)
 
@@ -38,6 +38,10 @@ class TruncatedParams:
     cp: coll.CollectiveParams
 
     def __post_init__(self) -> None:
+        for name in ("g_chi", "gamma_chi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma_chi < 0:
             raise ValueError("gamma_chi must be nonnegative")
 
@@ -86,10 +90,8 @@ def bright_operator(p: TruncatedParams) -> np.ndarray:
 
 def truncated_liouvillian(p: TruncatedParams) -> np.ndarray:
     """25x25 generator acting on column-stacked 5x5 density matrices."""
-    h = truncated_hamiltonian(p)
-    ident = np.eye(5, dtype=complex)
-    lv = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
-    return lv + dissipator(bright_operator(p), p.gamma_chi)
+    jump = math.sqrt(p.gamma_chi) * bright_operator(p)
+    return lindblad(truncated_hamiltonian(p), [jump])
 
 
 def truncated_steady(p: TruncatedParams) -> np.ndarray:

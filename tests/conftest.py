@@ -4,9 +4,11 @@
 master-equation generator.  It works from the jump-operator form (one
 collective decay channel plus a coherent bright/dark coupling) and builds
 every operator from scratch with plain numpy, so it shares no code path
-with ``chiralqed.model.build_liouvillian``, which assembles the same
-generator out of local and directional cross dissipators.  Agreement
-between the two is therefore a real cross-check, not a tautology.
+with ``chiralqed.model.build_liouvillian``, which cascades the cavity and the
+atom through the two waveguide directions, one jump operator per direction,
+and assembles the generator with ``chiralqed.model.lindblad``.  Agreement
+between the two at x_phase = 0 is therefore a real cross-check, not a
+tautology.
 
 ``truncated_rhs`` is the matching reference for the five-state model: it
 applies the Hamiltonian and the bright-polariton dissipator to a density

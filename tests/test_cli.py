@@ -14,10 +14,19 @@ from hypothesis import strategies as st
 
 from chiralqed import collective as coll
 from chiralqed import truncated_oracle as trunc
-from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, main
+from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, Engine, main
 from chiralqed.dynamics import steady_state
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
+
+# The package source of this checkout, for the subprocess tests.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _subprocess_env(**extra):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
 
 DARK_SYSTEM = """
 [system]
@@ -149,6 +158,19 @@ def test_override_requires_truncated_engine(tmp_path, capsys):
     )
     assert main(["point", "--config", cfg]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("gamma_chi", "-1"), ("gamma_chi", "nan"), ("g_chi", "inf")]
+)
+def test_bad_override_is_config_error(tmp_path, capsys, key, value):
+    cfg = _write(
+        tmp_path,
+        DARK_SYSTEM + f"[engine]\nengine = truncated\n{key} = {value}\n",
+    )
+    assert main(["point", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
 
 
 def test_config_rejects_scaled_kappa(tmp_path, capsys):
@@ -380,6 +402,7 @@ def test_sweep_output_is_deterministic(tmp_path):
              "--config", cfg, "--out", str(out)],
             capture_output=True,
             text=True,
+            env=_subprocess_env(),
         )
         assert result.returncode == 0, result.stderr
     assert filecmp.cmp(first, second, shallow=False)
@@ -404,8 +427,8 @@ def test_full_engine_sweep_independent_of_blas_threads(tmp_path):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads)
         result = subprocess.run(
             [sys.executable, "-m", "chiralqed.cli", "sweep",
              "--config", cfg, "--out", str(out)],
@@ -477,6 +500,12 @@ def test_converge_table(tmp_path, capsys):
     # already tightly converged at these cutoffs for weak driving
     assert float(rows[1][5]) < 1e-6
     assert float(rows[2][5]) < 1e-10
+
+
+def test_converge_rejects_overrides(tmp_path, capsys):
+    cfg = _write(tmp_path, DARK_SYSTEM + "[engine]\ncutoffs = 3, 4\ng_chi = 2.0\n")
+    assert main(["converge", "--config", cfg]) == 2
+    assert "remove g_chi/gamma_chi overrides" in capsys.readouterr().err
 
 
 def test_converge_rejects_cutoff_flag(tmp_path, capsys):
@@ -569,3 +598,25 @@ def test_point_writes_output_file(tmp_path, capsys, command):
     assert main(argv + ["--out", str(out_file)]) == 0
     assert capsys.readouterr().out == ""
     assert printed and out_file.read_bytes() == printed.encode("utf-8")
+
+
+def test_unwritable_out_fails_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(Engine, "solve", no_solve)
+    cfg = _write(tmp_path, DARK_SYSTEM)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["point", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write --out")
+
+
+def test_failed_run_leaves_out_path_alone(tmp_path, capsys):
+    bad = _write(tmp_path, "[system]\nkappa = 2.0\n")
+    fresh = tmp_path / "fresh.txt"
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier result\n")
+    for out in (fresh, kept):
+        assert main(["point", "--config", bad, "--out", str(out)]) == 2
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier result\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -13,7 +14,7 @@ from chiralqed.model import (
     build_hamiltonian,
     build_liouvillian,
     derive,
-    dissipator,
+    lindblad,
 )
 
 from conftest import cascade_liouvillian, random_density
@@ -149,9 +150,10 @@ def test_hamiltonian_hermitian(seed):
     np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
 
-def test_dissipator_single_photon_decay():
+def test_lindblad_single_photon_decay():
     a, _ = composite_operators(CUTOFF)
-    dv = dissipator(a, 2.0)
+    h = np.zeros((CUTOFF.dim, CUTOFF.dim), dtype=complex)
+    dv = lindblad(h, [math.sqrt(2.0) * a])
     rho = np.zeros((CUTOFF.dim, CUTOFF.dim), dtype=complex)
     rho[1, 1] = 1.0  # |g,1><g,1|
     drho = devectorize(dv @ vectorize(rho))
@@ -233,19 +235,24 @@ def test_placement_phase_quadrature_identity():
     np.testing.assert_allclose(lhs.toarray(), rhs.toarray(), atol=1e-13)
 
 
-def test_placement_phase_exchange_term():
-    """At quarter placement the extra coherent piece is the excitation swap."""
-    p = SystemParams(kappa=1.0, gamma=0.6, chi=0.3, delta_c=0.4, omega_c=0.02)
-    quarter = build_liouvillian(replace(p, x_phase=math.pi / 2), CUTOFF)
-    average = 0.5 * (
-        build_liouvillian(replace(p, x_phase=0.0), CUTOFF)
-        + build_liouvillian(replace(p, x_phase=math.pi), CUTOFF)
+def _cavity_state(rho):
+    """Reduced cavity state: trace out the atom (atom-major product order)."""
+    fock = CUTOFF.fock_dim
+    return np.einsum("ajak->jk", rho.reshape(2, fock, 2, fock))
+
+
+def test_directional_coupling_is_cascaded():
+    """At chi = 0 nothing the atom does reaches the cavity, at any placement."""
+    cavity = SystemParams(chi=0.0, delta_c=0.4, omega_c=0.05, e_mag=2e-3, phi_d=0.3)
+    reference = _cavity_state(steady_state(build_liouvillian(cavity, CUTOFF)))
+    grid = itertools.product(
+        (0.5, 1.7), (-0.6, 0.9), (0.0, 0.08), (0.0, 0.5, math.pi / 2, 2.5)
     )
-    a, sm = composite_operators(CUTOFF)
-    swap = math.sqrt(p.kappa * p.gamma) * (sm.conj().T @ a + a.conj().T @ sm)
-    ident = np.eye(CUTOFF.dim, dtype=complex)
-    expected = -1j * (np.kron(ident, swap) - np.kron(swap.T, ident))
-    np.testing.assert_allclose((quarter - average).toarray(), expected, atol=1e-13)
+    for gamma, delta_a, omega_a, x_phase in grid:
+        p = replace(cavity, gamma=gamma, delta_a=delta_a, omega_a=omega_a,
+                    x_phase=x_phase)
+        rho = steady_state(build_liouvillian(p, CUTOFF))
+        np.testing.assert_allclose(_cavity_state(rho), reference, rtol=0, atol=1e-12)
 
 
 def test_symmetric_coupling_has_no_coherent_exchange():

@@ -154,8 +154,9 @@ class Engine:
         if self.name == "full":
             rho = steady_state(build_liouvillian(params, self.cutoff))
             return _FullState(rho, self.cutoff, params)
+        physical = trunc.from_system(params)
         try:
-            tp = dataclasses.replace(trunc.from_system(params), **self.overrides)
+            tp = dataclasses.replace(physical, **self.overrides)
         except ValueError as exc:
             raise ConfigError(f"[engine] {exc}") from exc
         return _FiveState(trunc.truncated_steady(tp), tp.cp)

@@ -151,28 +151,41 @@ class Engine:
             raise ConfigError("g_chi/gamma_chi overrides need engine=truncated")
 
     def solve(self, params: SystemParams) -> _FullState | _FiveState:
+        return self.solve_many([(params, {})])[0]
+
+    def solve_many(self, points) -> list[_FullState | _FiveState]:
+        """Solve (params, overrides) points; a point's overrides go over the engine's.
+
+        The five-state engine solves every point in one stack of generators,
+        the full engine one sparse generator at a time.
+        """
         if self.name == "full":
-            rho = steady_state(build_liouvillian(params, self.cutoff))
-            return _FullState(rho, self.cutoff, params)
-        physical = trunc.from_system(params)
-        try:
-            tp = dataclasses.replace(physical, **self.overrides)
-        except ValueError as exc:
-            raise ConfigError(f"[engine] {exc}") from exc
-        return _FiveState(trunc.truncated_steady(tp), tp.cp)
+            return [
+                _FullState(steady_state(build_liouvillian(p, self.cutoff)), self.cutoff, p)
+                for p, _ in points
+            ]
+        tps = []
+        for params, overrides in points:
+            physical = trunc.from_system(params)
+            try:
+                tps.append(dataclasses.replace(physical, **{**self.overrides, **overrides}))
+            except ValueError as exc:
+                raise ConfigError(f"[engine] {exc}") from exc
+        rhos = steady_state(trunc.truncated_liouvillians(tps))
+        return [_FiveState(rho, tp.cp) for rho, tp in zip(rhos, tps)]
 
     def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:
         state = self.solve(params)
         return {name: OBSERVABLES[name](state) for name in names}
 
 
-def _rows(points, names: tuple[str, ...]) -> list[list[float]]:
-    """One row per (x, engine, params) point: x, then the named observables."""
-    rows = []
-    for x, engine, params in points:
-        values = engine.observe(params, names)
-        rows.append([x, *(values[name] for name in names)])
-    return rows
+def _rows(engine: Engine, points, names: tuple[str, ...]) -> list[list[float]]:
+    """One row per (x, params, overrides) point: x, then the named observables."""
+    states = engine.solve_many([(params, overrides) for _, params, overrides in points])
+    return [
+        [x, *(OBSERVABLES[name](state) for name in names)]
+        for (x, _, _), state in zip(points, states)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +233,12 @@ class Sweep:
             raise ConfigError("g_chi is only sweepable with engine=truncated")
         if self.parameter == "x_phase" and engine.name == "truncated":
             raise ConfigError("x_phase has no truncated-engine counterpart")
-        return _rows(((x, *self._at(x, engine, base)) for x in self.grid()), names)
+        return _rows(engine, [(x, *self._at(x, base)) for x in self.grid()], names)
 
-    def _at(
-        self, value: float, engine: Engine, base: SystemParams
-    ) -> tuple[Engine, SystemParams]:
-        """Engine and system at one grid value; g_chi is an engine override."""
+    def _at(self, value: float, base: SystemParams) -> tuple[SystemParams, dict[str, float]]:
+        """System and engine overrides at one grid value; g_chi is an override."""
         if self.parameter == "g_chi":
-            overrides = {**engine.overrides, "g_chi": value}
-            return dataclasses.replace(engine, overrides=overrides), base
+            return base, {"g_chi": value}
         if self.parameter == "delta_s":
             # Move the sum detuning while freezing the difference.
             delta = derive(base).delta
@@ -236,7 +246,7 @@ class Sweep:
         else:
             changes = {self.parameter: value}
         try:
-            return engine, dataclasses.replace(base, **changes)
+            return dataclasses.replace(base, **changes), {}
         except ValueError as exc:
             raise ConfigError(f"swept value {value}: {exc}") from exc
 
@@ -655,8 +665,11 @@ def cmd_converge(args) -> list[str]:
             raise ConfigError(f"[engine] cutoffs = {raw!r} is not an integer list") from exc
     if len(cutoffs) < 2:
         raise ConfigError("converge needs at least two cutoffs")
-    points = ((n_max, Engine("full", _cutoff(n_max)), params) for n_max in cutoffs)
-    table = _rows(points, DEFAULT_OBSERVABLES)
+    engines = [Engine("full", _cutoff(n_max)) for n_max in cutoffs]
+    table = [
+        [n_max, *engine.observe(params, DEFAULT_OBSERVABLES).values()]
+        for n_max, engine in zip(cutoffs, engines)
+    ]
     rows = [
         row + [abs(row[1] - prev[1]), abs(row[2] - prev[2])]
         for prev, row in zip([[math.nan] * 3] + table, table)

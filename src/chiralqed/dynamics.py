@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
-from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg
@@ -49,29 +47,29 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
 def validate_density_matrix(rho: np.ndarray, context: str = "state") -> np.ndarray:
     """Check Hermiticity, unit trace, and the positivity floor.
 
-    Positivity is asserted rather than silently repaired: a spectrum below
-    the floor indicates a genuine numerical problem upstream.
+    rho may also be a (P, D, D) stack, checked at once; each defect reported
+    is then the worst member's.  Positivity is asserted rather than silently
+    repaired: a spectrum below the floor indicates a numerical problem upstream.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{context}: expected a square matrix, got {rho.shape}")
-    herm_defect = np.abs(rho - rho.conj().T).max()
+    adjoint = np.swapaxes(rho.conj(), -1, -2)
+    herm_defect = np.abs(rho - adjoint).max()
     if herm_defect > HERMITICITY_TOL:
         raise ValueError(f"{context}: Hermiticity defect {herm_defect:.3e}")
-    trace_defect = abs(rho.trace() - 1.0)
+    trace_defect = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
     if trace_defect > TRACE_TOL:
         raise ValueError(f"{context}: trace defect {trace_defect:.3e}")
-    lowest = scipy.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+    lowest = np.linalg.eigvalsh(0.5 * (rho + adjoint))[..., 0].min()
     if lowest < EIGENVALUE_FLOOR:
-        raise PositivityError(
-            f"{context}: eigenvalue {lowest:.3e} below floor {EIGENVALUE_FLOOR}"
-        )
+        raise PositivityError(f"{context}: eigenvalue {lowest:.3e} below floor {EIGENVALUE_FLOOR}")
     return rho
 
 
 def _finalize(candidate: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (candidate + candidate.conj().T)
-    return rho / rho.trace().real
+    rho = 0.5 * (candidate + np.swapaxes(candidate.conj(), -1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
 
 
 def _diagnose_degeneracy(lv) -> np.ndarray:
@@ -104,117 +102,117 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
     return vh[-1].conj()
 
 
-def _factorize(constrained) -> Callable[[np.ndarray], np.ndarray] | None:
-    """A solver for the trace-constrained system, or None if it is singular.
+def _solve_sparse(constrained, rhs: np.ndarray) -> np.ndarray:
+    """SuperLU solutions (default COLAMD ordering) of the sparse system, one
+    per column of rhs, or NaN if the system is singular."""
+    # Imported here so that the dense five-state path does not load it
+    # (1.3 MiB of resident memory).
+    from scipy.sparse.csgraph import structural_rank
 
-    Sparse generators go to SuperLU with its default COLAMD ordering; dense
-    ones to LAPACK, which is faster at the five-state engine's 25x25 size.
-    """
-    if scipy.sparse.issparse(constrained):
-        # Imported here so that the dense five-state path does not load it
-        # (1.3 MiB of resident memory).
-        from scipy.sparse.csgraph import structural_rank
-
-        constrained = constrained.tocsc()
-        constrained.eliminate_zeros()
-        # A structurally singular system (no full matching of rows to
-        # nonzero columns) is exactly singular.  SuperLU reports that too,
-        # but on some such inputs only after OpenBLAS has printed
-        # illegal-argument messages to stdout.
-        if structural_rank(constrained) < constrained.shape[0]:
-            return None
+    constrained = constrained.tocsc()
+    constrained.eliminate_zeros()
+    # A structurally singular system (no full matching of rows to nonzero
+    # columns) is exactly singular.  SuperLU reports that too, but on some
+    # such inputs only after OpenBLAS has printed illegal-argument messages
+    # to stdout.
+    if structural_rank(constrained) == constrained.shape[0]:
         try:
-            return scipy.sparse.linalg.splu(constrained).solve
+            solve = scipy.sparse.linalg.splu(constrained).solve
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
-            return None
+        else:
+            return np.stack([solve(column) for column in rhs.T], axis=-1)
+    return np.full(rhs.shape, np.nan, dtype=complex)
+
+
+def _solve_dense(constrained: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One batched LAPACK solve of a (P, d2, d2) stack; NaN for a member
+    that is exactly singular, found by solving the stack one at a time."""
     try:
-        with warnings.catch_warnings():
-            # Singular pivots are an expected outcome here (degenerate null
-            # space); the caller's checks and fallback diagnose them properly.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factors = scipy.linalg.lu_factor(constrained)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return None
-    return lambda rhs: scipy.linalg.lu_solve(factors, rhs)
+        return np.linalg.solve(constrained, rhs)
+    except np.linalg.LinAlgError:
+        if len(constrained) == 1:
+            return np.full((1, *rhs.shape), np.nan, dtype=complex)
+        return np.concatenate([_solve_dense(c[np.newaxis], rhs) for c in constrained])
 
 
 def steady_state(lv) -> np.ndarray:
     """The unique stationary density matrix of a trace-preserving generator.
 
-    lv is a dense array or a scipy.sparse matrix; a sparse one is factorized
-    with SuperLU and never densified except by the degeneracy diagnosis.
-    One row of the generator is replaced by the trace constraint and the
-    resulting linear system solved directly.  Uniqueness is then probed with
-    one inverse-iteration step reusing the factorization: a second
-    independent null vector (tolerance 1e-8 relative to the generator's
-    scale) raises DegenerateSteadyStateError, as does an exactly singular
-    trace-constrained system whose singular-value diagnosis finds more than
-    one null direction.
+    lv is a scipy.sparse matrix, a dense (d2, d2) array, or a dense
+    (P, d2, d2) stack whose P states come back as a (P, D, D) stack.  One
+    row of each generator is replaced by the trace constraint and the
+    system solved directly: a sparse one with SuperLU, never densified
+    except by the degeneracy diagnosis; a dense stack with one batched
+    LAPACK solve.  Uniqueness is then probed with one inverse-iteration
+    step, a second right-hand side of the same solve: a second independent
+    null vector (tolerance 1e-8 relative to the generator's scale) raises
+    DegenerateSteadyStateError, as does an exactly singular system whose
+    singular-value diagnosis, run member by member, finds more than one
+    null direction.
     """
     sparse = scipy.sparse.issparse(lv)
     lv = scipy.sparse.csr_array(lv, dtype=complex) if sparse else np.asarray(lv, dtype=complex)
-    d2 = lv.shape[0]
+    d2 = lv.shape[-1]
     dim = math.isqrt(d2)
-    if lv.ndim != 2 or lv.shape != (d2, d2) or dim * dim != d2:
+    if lv.ndim not in (2, 3) or lv.shape[-2] != d2 or dim * dim != d2:
         raise ValueError(f"expected a D^2 x D^2 superoperator, got {lv.shape}")
 
     trace_row = vectorize(np.eye(dim, dtype=complex))
+    rng = np.random.default_rng(20240811)
+    probe = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    rhs = np.stack([np.eye(1, d2, dtype=complex)[0], probe], axis=-1)
     if sparse:
-        constrained = scipy.sparse.vstack(
-            [scipy.sparse.csr_array(trace_row[np.newaxis, :]), lv[1:]], format="csr"
-        )
-        scale = scipy.sparse.linalg.norm(lv)
+        members = [lv]
+        trace_csr = scipy.sparse.csr_array(trace_row[np.newaxis, :])
+        constrained = scipy.sparse.vstack([trace_csr, lv[1:]], format="csr")
+        both = _solve_sparse(constrained, rhs)[np.newaxis]
+        scale = np.array([scipy.sparse.linalg.norm(lv)])
+        apply = lambda vecs: (lv @ vecs.T).T
     else:
-        constrained = lv.copy()
-        constrained[0, :] = trace_row
-        scale = np.linalg.norm(lv)
-    rhs = np.zeros(d2, dtype=complex)
-    rhs[0] = 1.0
+        members = lv.reshape(-1, d2, d2)
+        constrained = members.copy()
+        constrained[:, 0, :] = trace_row
+        both = _solve_dense(constrained, rhs)
+        scale = np.linalg.norm(members, axis=(1, 2))
+        apply = lambda vecs: (members @ vecs[..., np.newaxis])[..., 0]
+    solution, candidate = both[..., 0], both[..., 1]
 
-    solve = _factorize(constrained)
-    solution = None if solve is None else solve(rhs)
-    if solution is not None:
-        residual = np.linalg.norm(lv @ solution) / max(np.linalg.norm(solution), 1e-300)
-        if not np.all(np.isfinite(solution)) or residual > 1e-6 * max(scale, 1.0):
-            solution = None
-
-    if solution is None:
+    norms = np.maximum(np.linalg.norm(solution, axis=-1), 1e-300)
+    residual = np.linalg.norm(apply(solution), axis=-1) / norms
+    failed = ~np.all(np.isfinite(solution), axis=-1) | (residual > 1e-6 * np.maximum(scale, 1.0))
+    for k in np.flatnonzero(failed):
         # The direct solve degenerated; fall back to the full diagnosis.
-        null_vec = _diagnose_degeneracy(lv)
+        null_vec = _diagnose_degeneracy(members[k])
         trace = trace_row @ null_vec
         if abs(trace) < 1e-12:
             raise DegenerateSteadyStateError(
                 "non-unique steady state: the only null vector is traceless"
             )
-        rho = _finalize(devectorize(null_vec / trace))
-        return validate_density_matrix(rho, context="steady state")
+        solution[k], candidate[k] = null_vec / trace, 0.0
 
     # Probe for a second null vector with one inverse-iteration step.  A
     # near-degenerate generator amplifies the second null direction enormously
     # under the factorized solve, so a deflated candidate with tiny residual
     # betrays degeneracy even when the direct solve succeeded.
-    rng = np.random.default_rng(20240811)
-    probe = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-    candidate = solve(probe)
-    primary = solution / np.linalg.norm(solution)
-    deflated = candidate - (primary.conj() @ candidate) * primary
-    deflated_norm = np.linalg.norm(deflated)
-    if deflated_norm > 1e-9 * np.linalg.norm(candidate):
-        deflated /= deflated_norm
-        if np.linalg.norm(lv @ deflated) < DEGENERACY_TOL * scale:
-            raise DegenerateSteadyStateError(
-                "non-unique steady state: found a second null vector"
-            )
+    primary = solution / np.linalg.norm(solution, axis=-1, keepdims=True)
+    overlap = np.sum(primary.conj() * candidate, axis=-1, keepdims=True)
+    deflated = candidate - overlap * primary
+    deflated_norm = np.linalg.norm(deflated, axis=-1)
+    deflated /= np.maximum(deflated_norm, 1e-300)[:, np.newaxis]
+    probed = ~failed & (deflated_norm > 1e-9 * np.linalg.norm(candidate, axis=-1))
+    if np.any(probed & (np.linalg.norm(apply(deflated), axis=-1) < DEGENERACY_TOL * scale)):
+        raise DegenerateSteadyStateError("non-unique steady state: found a second null vector")
 
-    rho = _finalize(devectorize(solution))
-    final_residual = np.linalg.norm(lv @ vectorize(rho))
-    if final_residual > RESIDUAL_TOL * scale:
-        raise DegenerateSteadyStateError(
-            f"steady-state residual {final_residual:.3e} exceeds tolerance"
-        )
-    return validate_density_matrix(rho, context="steady state")
+    rho = _finalize(solution.reshape(-1, dim, dim).swapaxes(1, 2))
+    final_residual = np.linalg.norm(apply(rho.swapaxes(1, 2).reshape(-1, d2)), axis=-1)
+    too_large = ~failed & (final_residual > RESIDUAL_TOL * scale)
+    if np.any(too_large):
+        worst = final_residual[too_large].max()
+        raise DegenerateSteadyStateError(f"steady-state residual {worst:.3e} exceeds tolerance")
+    rho = validate_density_matrix(rho, context="steady state")
+    return rho if lv.ndim == 3 else rho[0]
 
 
 def evolve(lv, rho0: np.ndarray, t_final: float) -> np.ndarray:

@@ -121,24 +121,33 @@ def derive(params: SystemParams) -> DerivedParams:
     )
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, broadcast over any leading ones."""
+    outer = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return outer.reshape(*outer.shape[:-4], a.shape[-2] * b.shape[-2], -1)
+
+
 def lindblad(h, jumps):
     """Generator of -i [h, rho] + sum_c (c rho c+ - 1/2 {c+ c, rho}).
 
     Assembled as I (x) X + conj(X) (x) I + sum_c conj(c) (x) c with
     X = -i h - 1/2 sum_c c+ c, in the column-stacking convention.  Rates
     live in the jump operators.  Scipy-sparse operators give a CSR array;
-    dense ones a dense array.
+    dense ones a dense array.  Dense operators may also be stacks of shape
+    (P, D, D), one system per leading index, giving a (P, D^2, D^2) stack.
     """
-    dim = h.shape[0]
-    if scipy.sparse.issparse(h):
+    dim = h.shape[-1]
+    sparse = scipy.sparse.issparse(h)
+    if sparse:
         kron = functools.partial(scipy.sparse.kron, format="csr")
         eye = scipy.sparse.csr_array(np.eye(dim, dtype=complex))
     else:
-        kron = np.kron
+        kron = _kron
         eye = np.eye(dim, dtype=complex)
     x = -1j * h
     for c in jumps:
-        x = x - 0.5 * (c.conj().T @ c)
+        c_dagger = c.conj().T if sparse else np.swapaxes(c.conj(), -1, -2)
+        x = x - 0.5 * (c_dagger @ c)
     lv = kron(eye, x) + kron(x.conj(), eye)
     for c in jumps:
         lv = lv + kron(c.conj(), c)

@@ -9,6 +9,7 @@ so regimes beyond the physically reachable bound can be driven directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,15 @@ def bright_operator(p: TruncatedParams) -> np.ndarray:
 
 def truncated_liouvillian(p: TruncatedParams) -> np.ndarray:
     """25x25 generator acting on column-stacked 5x5 density matrices."""
-    jump = math.sqrt(p.gamma_chi) * bright_operator(p)
-    return lindblad(truncated_hamiltonian(p), [jump])
+    return truncated_liouvillians([p])[0]
+
+
+def truncated_liouvillians(ps: Sequence[TruncatedParams]) -> np.ndarray:
+    """(P, 25, 25) stack of generators, one per parameter set, from one
+    lindblad call on the stacked Hamiltonians and bright jumps."""
+    h = np.stack([truncated_hamiltonian(p) for p in ps])
+    jump = np.stack([math.sqrt(p.gamma_chi) * bright_operator(p) for p in ps])
+    return lindblad(h, [jump])
 
 
 def truncated_steady(p: TruncatedParams) -> np.ndarray:

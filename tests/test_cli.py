@@ -408,6 +408,24 @@ def test_sweep_output_is_deterministic(tmp_path):
     assert filecmp.cmp(first, second, shallow=False)
 
 
+def _outputs_at_one_and_two_threads(tmp_path, argv):
+    """The --out files of one command run at BLAS thread counts 1 and 2."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "chiralqed.cli", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(out)
+    return outputs
+
+
 def test_full_engine_sweep_independent_of_blas_threads(tmp_path):
     cfg = _write(
         tmp_path,
@@ -424,20 +442,13 @@ def test_full_engine_sweep_independent_of_blas_threads(tmp_path):
         cutoff = 8
         """),
     )
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                              MKL_NUM_THREADS=threads)
-        result = subprocess.run(
-            [sys.executable, "-m", "chiralqed.cli", "sweep",
-             "--config", cfg, "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        outputs.append(out)
+    outputs = _outputs_at_one_and_two_threads(tmp_path, ["sweep", "--config", cfg])
+    assert filecmp.cmp(*outputs, shallow=False)
+
+
+def test_five_state_figure_independent_of_blas_threads(tmp_path):
+    # figure3: g_chi-overridden delta_s sweeps on the truncated engine
+    outputs = _outputs_at_one_and_two_threads(tmp_path, ["figure", "figure3"])
     assert filecmp.cmp(*outputs, shallow=False)
 
 

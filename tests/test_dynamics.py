@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from chiralqed import dynamics
+from chiralqed import truncated_oracle as trunc
 from chiralqed.dynamics import (
     DegenerateSteadyStateError,
     PositivityError,
@@ -15,7 +17,7 @@ from chiralqed.dynamics import (
     vectorize,
 )
 from chiralqed.fock_algebra import FockCutoff
-from chiralqed.model import SystemParams, build_liouvillian
+from chiralqed.model import SystemParams, build_liouvillian, lindblad
 from chiralqed.observables import g2_zero
 
 from conftest import random_density
@@ -120,6 +122,69 @@ def test_degeneracy_diagnosis_refuses_large_generators():
     lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(25))
     with pytest.raises(DegenerateSteadyStateError, match="2704x2704"):
         steady_state(lv)
+
+
+FIVE_STATE = [
+    trunc.from_system(SystemParams(
+        gamma=gamma, delta_c=delta, delta_a=-delta, omega_c=0.03, omega_a=0.03, e_mag=1e-3,
+    ))
+    for gamma, delta in ((1.0, 0.0), (0.5, 1.0), (2.0, -3.0))
+]
+
+
+def test_stacked_steady_states_match_single_calls():
+    stack = trunc.truncated_liouvillians(FIVE_STATE)
+    rhos = steady_state(stack)
+    assert rhos.shape == (len(FIVE_STATE), 5, 5)
+    for tp, member, rho in zip(FIVE_STATE, stack, rhos):
+        single = trunc.truncated_liouvillian(tp)
+        assert single.tobytes() == member.tobytes()
+        assert steady_state(single).tobytes() == rho.tobytes()
+
+
+def test_degenerate_member_fails_the_stack_with_its_own_message():
+    # no drive and no collective decay: the dark single state never empties
+    stuck = replace(trunc.from_system(SystemParams()), gamma_chi=0.0)
+    with pytest.raises(DegenerateSteadyStateError) as single:
+        steady_state(trunc.truncated_liouvillian(stuck))
+    stack = trunc.truncated_liouvillians([FIVE_STATE[0], stuck, FIVE_STATE[1]])
+    with pytest.raises(DegenerateSteadyStateError) as batched:
+        steady_state(stack)
+    assert str(batched.value) == str(single.value)
+
+
+# Not a physical generator: its null space is one dimensional, spanned by
+# vec(diag(0.7, 0.3)), but its first row is not redundant, so the
+# trace-constrained system is exactly singular and only the singular-value
+# diagnosis finds the state.
+NEEDS_DIAGNOSIS = np.array(
+    [[0.3, 0, 0, -0.7], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0]], dtype=complex
+)
+
+
+def test_fallback_member_matches_its_single_call(monkeypatch):
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    stack = np.stack([
+        lindblad(0.3 * (lower + lower.T), [lower]),
+        NEEDS_DIAGNOSIS,
+        lindblad(np.zeros((2, 2), dtype=complex), [lower]),
+    ])
+    diagnosed = []
+    diagnose = dynamics._diagnose_degeneracy
+    monkeypatch.setattr(
+        dynamics, "_diagnose_degeneracy", lambda lv: diagnosed.append(lv) or diagnose(lv)
+    )
+    rhos = steady_state(stack)
+    assert len(diagnosed) == 1 and np.array_equal(diagnosed[0], NEEDS_DIAGNOSIS)
+    np.testing.assert_allclose(rhos[1], np.diag([0.7, 0.3]), atol=1e-15)
+    for member, rho in zip(stack, rhos):
+        assert steady_state(member).tobytes() == rho.tobytes()
+
+
+def test_stacked_input_needs_square_generators():
+    for shape in ((3, 5, 5), (3, 4, 9)):
+        with pytest.raises(ValueError, match="superoperator"):
+            steady_state(np.zeros(shape, dtype=complex))
 
 
 def test_evolve_zero_time_is_identity(rng):

@@ -150,6 +150,23 @@ def test_hamiltonian_hermitian(seed):
     np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
 
+def test_lindblad_stack_matches_single_calls(rng):
+    h = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    h = h + np.swapaxes(h.conj(), 1, 2)
+    jumps = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    stack = lindblad(h, [jumps])
+    assert stack.shape == (3, 16, 16)
+    eye = np.eye(4, dtype=complex)
+    for k in range(3):
+        single = lindblad(h[k], [jumps[k]])
+        assert stack[k].tobytes() == single.tobytes()
+        # the np.kron assembly, byte for byte
+        c = jumps[k]
+        x = -1j * h[k] - 0.5 * (c.conj().T @ c)
+        kron = np.kron(eye, x) + np.kron(x.conj(), eye) + np.kron(c.conj(), c)
+        assert single.tobytes() == kron.tobytes()
+
+
 def test_lindblad_single_photon_decay():
     a, _ = composite_operators(CUTOFF)
     h = np.zeros((CUTOFF.dim, CUTOFF.dim), dtype=complex)

@@ -103,8 +103,8 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
 
 
 def _solve_sparse(constrained, rhs: np.ndarray) -> np.ndarray:
-    """SuperLU solutions (default COLAMD ordering) of the sparse system, one
-    per column of rhs, or NaN if the system is singular."""
+    """SuperLU solutions (COLAMD ordering) of the sparse system, one per column
+    of rhs, the first refined once on the same factors; NaN if it is singular."""
     # Imported here so that the dense five-state path does not load it
     # (1.3 MiB of resident memory).
     from scipy.sparse.csgraph import structural_rank
@@ -122,7 +122,9 @@ def _solve_sparse(constrained, rhs: np.ndarray) -> np.ndarray:
             if "singular" not in str(exc):
                 raise
         else:
-            return np.stack([solve(column) for column in rhs.T], axis=-1)
+            x = np.stack([solve(column) for column in rhs.T], axis=-1)
+            x[:, 0] += solve(rhs[:, 0] - constrained @ x[:, 0])
+            return x
     return np.full(rhs.shape, np.nan, dtype=complex)
 
 

@@ -16,7 +16,7 @@ from chiralqed.dynamics import (
     validate_density_matrix,
     vectorize,
 )
-from chiralqed.fock_algebra import FockCutoff
+from chiralqed.fock_algebra import FockCutoff, annihilation
 from chiralqed.model import SystemParams, build_liouvillian, lindblad
 from chiralqed.observables import g2_zero
 
@@ -237,6 +237,20 @@ def test_evolution_contracts_trace_distance(rng):
         d_now = _trace_distance(evolve(lv, rho_a, t), evolve(lv, rho_b, t))
         assert d_now <= dist + 1e-9
         dist = d_now
+
+
+def test_sparse_solve_keeps_weak_drive_g2_at_a_low_cutoff():
+    """At chi = 0 the cavity is atom-independent, so at cutoff 4 its g2 must
+    match the atom-free cavity's to near machine precision at every gamma."""
+    cut = FockCutoff(4)
+    cavity = SystemParams(chi=0.0, omega_c=0.01, omega_a=0.01, e_mag=4e-4)
+    a = annihilation(cut)
+    ad, e = a.conj().T, cavity.e_field
+    h = 0.5j * (e.conjugate() * (a @ a) - e * (ad @ ad)) + 1j * cavity.omega_c * (a - ad)
+    reference = g2_zero(steady_state(lindblad(h, [a])), cut)
+    for gamma in np.linspace(0.25, 4.0, 16):
+        rho = steady_state(build_liouvillian(replace(cavity, gamma=gamma), cut))
+        assert g2_zero(rho, cut) == pytest.approx(reference, rel=1e-10, abs=0)
 
 
 def test_photon_statistics_converged_in_cutoff():

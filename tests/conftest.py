@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chiralqed import collective as coll
 from chiralqed import truncated_oracle as trunc
@@ -136,6 +137,25 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return m + m.conj().T
+
+
+def _finite(**bounds) -> st.SearchStrategy[float]:
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# (field, value) pairs that SystemParams must reject: a nonpositive kappa, a
+# negative rate, drive or pump, and a chi outside [0, 1].
+OUT_OF_RANGE_FIELDS = st.one_of(
+    st.tuples(st.just("kappa"), _finite(max_value=0.0)),
+    st.tuples(
+        st.sampled_from(["gamma", "omega_c", "omega_a", "e_mag"]),
+        _finite(max_value=0.0, exclude_max=True),
+    ),
+    st.tuples(
+        st.just("chi"),
+        _finite(max_value=0.0, exclude_max=True) | _finite(min_value=1.0, exclude_min=True),
+    ),
+)
 
 
 @pytest.fixture

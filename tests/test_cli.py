@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 
 from chiralqed import collective as coll
 from chiralqed import truncated_oracle as trunc
-from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, Engine, main
+from chiralqed import cli
+from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, MAX_CUTOFF, Engine, main
 from chiralqed.dynamics import steady_state
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
+
+from conftest import OUT_OF_RANGE_FIELDS
 
 # The package source of this checkout, for the subprocess tests.
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -267,6 +270,39 @@ def test_point_rejects_non_finite_config_value(key, raw):
         with contextlib.redirect_stderr(err):
             assert main(["point", "--config", path]) == 2
     assert "config error:" in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(OUT_OF_RANGE_FIELDS)
+def test_point_rejects_out_of_range_config_value(field_value):
+    name, value = field_value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"[system]\n{name} = {value!r}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["point", "--config", path]) == 2
+    # the CLI pins kappa to 1 before SystemParams sees it
+    expected = "kappa is fixed to 1" if name == "kappa" else f"config error: [system] {name} must"
+    assert expected in err.getvalue()
+
+
+def test_cutoff_above_the_limit_fails_before_building(tmp_path, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a generator above the cutoff limit")
+
+    monkeypatch.setattr(cli, "build_liouvillian", no_build)
+    assert MAX_CUTOFF >= 24
+    assert cli._cutoff(MAX_CUTOFF).n_max == MAX_CUTOFF
+    too_large = MAX_CUTOFF + 1
+    cfg = _write(tmp_path, DARK_SYSTEM + f"[engine]\ncutoffs = 4, 6, {too_large}\n")
+    point = ["point", "--config", cfg, "--cutoff", str(too_large)]
+    for argv in (point, ["converge", "--config", cfg]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cutoff {too_large} exceeds the limit of {MAX_CUTOFF}\n"
+        )
 
 
 def test_degenerate_point_prints_no_solver_noise(tmp_path, capfd):

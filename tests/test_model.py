@@ -17,7 +17,7 @@ from chiralqed.model import (
     lindblad,
 )
 
-from conftest import cascade_liouvillian, random_density
+from conftest import OUT_OF_RANGE_FIELDS, cascade_liouvillian, random_density
 
 CUTOFF = FockCutoff(3)
 
@@ -46,6 +46,14 @@ def test_params_validation():
 )
 def test_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(**{name: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(OUT_OF_RANGE_FIELDS)
+def test_params_reject_out_of_range(field_value):
+    name, value = field_value
+    with pytest.raises(ValueError, match=f"^{name} must"):
         SystemParams(**{name: value})
 
 

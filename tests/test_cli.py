@@ -488,6 +488,29 @@ def test_five_state_figure_independent_of_blas_threads(tmp_path):
     assert filecmp.cmp(*outputs, shallow=False)
 
 
+def test_sweep_rows_do_not_depend_on_the_batch_size(tmp_path, capsys, monkeypatch):
+    cfg = _write(
+        tmp_path,
+        DARK_SYSTEM
+        + textwrap.dedent("""
+        [sweep]
+        parameter = g_chi
+        lo = -2.0
+        hi = 2.0
+        points = 8
+
+        [engine]
+        engine = truncated
+        gamma_chi = 1.5
+        """),
+    )
+    assert main(["sweep", "--config", cfg]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "BATCH_POINTS", 3)
+    assert main(["sweep", "--config", cfg]) == 0
+    assert capsys.readouterr().out == whole
+
+
 def test_seventeen_digit_round_trip(tmp_path, capsys):
     cfg = _write(tmp_path, SWEEP_CONFIG)
     assert main(["sweep", "--config", cfg]) == 0

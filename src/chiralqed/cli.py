@@ -177,7 +177,7 @@ class Engine:
                 tps.append(dataclasses.replace(physical, **{**self.overrides, **overrides}))
             except ValueError as exc:
                 raise ConfigError(f"[engine] {exc}") from exc
-        rhos = steady_state(trunc.truncated_liouvillians(tps))
+        rhos = steady_state(trunc.truncated_liouvillian(tps))
         return [_FiveState(rho, tp.cp) for rho, tp in zip(rhos, tps)]
 
     def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:

@@ -9,7 +9,6 @@ so regimes beyond the physically reachable bound can be driven directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +88,17 @@ def bright_operator(p: TruncatedParams) -> np.ndarray:
     return bright
 
 
-def truncated_liouvillian(p: TruncatedParams) -> np.ndarray:
-    """25x25 generator acting on column-stacked 5x5 density matrices."""
-    return truncated_liouvillians([p])[0]
+def truncated_liouvillian(p: TruncatedParams | list[TruncatedParams]) -> np.ndarray:
+    """25x25 generator acting on column-stacked 5x5 density matrices.
 
-
-def truncated_liouvillians(ps: Sequence[TruncatedParams]) -> np.ndarray:
-    """(P, 25, 25) stack of generators, one per parameter set, from one
-    lindblad call on the stacked Hamiltonians and bright jumps."""
-    h = np.stack([truncated_hamiltonian(p) for p in ps])
-    jump = np.stack([math.sqrt(p.gamma_chi) * bright_operator(p) for p in ps])
-    return lindblad(h, [jump])
+    A list of P parameter sets gives a (P, 25, 25) stack, built by one
+    lindblad call on the stacked Hamiltonians and bright jumps.
+    """
+    ps = p if isinstance(p, list) else [p]
+    h = np.stack([truncated_hamiltonian(q) for q in ps])
+    jump = np.stack([math.sqrt(q.gamma_chi) * bright_operator(q) for q in ps])
+    lv = lindblad(h, [jump])
+    return lv if isinstance(p, list) else lv[0]
 
 
 def truncated_steady(p: TruncatedParams) -> np.ndarray:

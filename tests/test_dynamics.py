@@ -133,7 +133,7 @@ FIVE_STATE = [
 
 
 def test_stacked_steady_states_match_single_calls():
-    stack = trunc.truncated_liouvillians(FIVE_STATE)
+    stack = trunc.truncated_liouvillian(FIVE_STATE)
     rhos = steady_state(stack)
     assert rhos.shape == (len(FIVE_STATE), 5, 5)
     for tp, member, rho in zip(FIVE_STATE, stack, rhos):
@@ -147,7 +147,7 @@ def test_degenerate_member_fails_the_stack_with_its_own_message():
     stuck = replace(trunc.from_system(SystemParams()), gamma_chi=0.0)
     with pytest.raises(DegenerateSteadyStateError) as single:
         steady_state(trunc.truncated_liouvillian(stuck))
-    stack = trunc.truncated_liouvillians([FIVE_STATE[0], stuck, FIVE_STATE[1]])
+    stack = trunc.truncated_liouvillian([FIVE_STATE[0], stuck, FIVE_STATE[1]])
     with pytest.raises(DegenerateSteadyStateError) as batched:
         steady_state(stack)
     assert str(batched.value) == str(single.value)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from chiralqed import collective as coll
 from chiralqed import truncated_oracle as trunc
 from chiralqed import cli
-from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, MAX_CUTOFF, Engine, main
+from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, Engine, main
 from chiralqed.dynamics import steady_state
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
@@ -293,15 +293,15 @@ def test_cutoff_above_the_limit_fails_before_building(tmp_path, capsys, monkeypa
         raise AssertionError("built a generator above the cutoff limit")
 
     monkeypatch.setattr(cli, "build_liouvillian", no_build)
-    assert MAX_CUTOFF >= 24
-    assert cli._cutoff(MAX_CUTOFF).n_max == MAX_CUTOFF
-    too_large = MAX_CUTOFF + 1
+    assert cli.MAX_CUTOFF >= 24
+    assert cli._cutoff(cli.MAX_CUTOFF).n_max == cli.MAX_CUTOFF
+    too_large = cli.MAX_CUTOFF + 1
     cfg = _write(tmp_path, DARK_SYSTEM + f"[engine]\ncutoffs = 4, 6, {too_large}\n")
     point = ["point", "--config", cfg, "--cutoff", str(too_large)]
     for argv in (point, ["converge", "--config", cfg]):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"config error: cutoff {too_large} exceeds the limit of {MAX_CUTOFF}\n"
+            f"config error: cutoff {too_large} exceeds the limit of {cli.MAX_CUTOFF}\n"
         )
 
 

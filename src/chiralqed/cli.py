@@ -49,6 +49,12 @@ DEFAULT_CONVERGE_CUTOFFS = (4, 6, 8, 12)
 # factor entries and takes about 0.5 s and 130 MiB peak on one x86-64 Xeon
 # core at one BLAS thread.
 MAX_CUTOFF = 40
+# The most points a sweep accepts.  Every point's parameters are resolved
+# before the first solve, about 0.9 KiB each: at 100 000 points a five-state
+# sweep takes about 14 s and 87 MiB above the interpreter's baseline on one
+# x86-64 Xeon core at one BLAS thread, while the full engine at the default
+# cutoff needs about 12 ms a point, 20 minutes in all.
+MAX_SWEEP_POINTS = 100_000
 BATCH_POINTS = 1024
 
 SWEEPABLE = ("phi_d", "delta_s", "gamma", "omega_c", "chi", "x_phase", "g_chi")
@@ -80,59 +86,66 @@ def _fmt(value: float) -> str:
 # Observables, read the same way from either engine's steady state
 
 
-def _excited(rho: np.ndarray, sm: np.ndarray) -> float:
-    """Population of the atom's excited level, trace(sigma+ sigma rho)."""
-    return float(np.trace(sm.conj().T @ sm @ rho).real)
+def _excited(rho: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    """Population of the atom's excited level, trace(sigma+ sigma rho), per state."""
+    return np.trace(sm.conj().T @ sm @ rho, axis1=-2, axis2=-1).real
 
 
-class _FullState:
-    """Steady state of the full engine at a Fock cutoff."""
+class _FullStates:
+    """Steady states of the full engine at a Fock cutoff, a (P, D, D) stack."""
 
-    def __init__(self, rho: np.ndarray, cutoff: FockCutoff, params: SystemParams):
+    def __init__(self, rho: np.ndarray, cutoff: FockCutoff, params: list[SystemParams]):
         self.rho = rho
         self._cutoff = cutoff
         self._params = params
 
     @functools.cached_property
-    def cp(self) -> coll.CollectiveParams:
-        return coll.from_system(self._params)
-
-    @functools.cached_property
-    def cavity(self) -> tuple[float, float | None]:
+    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
         return obs.mean_photon_number(self.rho, self._cutoff), obs.g2_zero(self.rho, self._cutoff)
 
-    def excited(self) -> float:
+    def excited(self) -> np.ndarray:
         return _excited(self.rho, composite_operators(self._cutoff)[1])
 
+    def population(self, label: str) -> np.ndarray:
+        # Each point has the gauge of its own rates.
+        return np.array([
+            obs.population(rho, label, coll.from_system(params))
+            for rho, params in zip(self.rho, self._params)
+        ])
 
-class _FiveState:
-    """Steady state of the five-state engine, in the collective basis."""
 
-    def __init__(self, rho: np.ndarray, cp: coll.CollectiveParams):
+class _FiveStates:
+    """Steady states of the five-state engine, a (P, 5, 5) collective-basis stack."""
+
+    def __init__(self, rho: np.ndarray, cp: list[coll.CollectiveParams]):
         self.rho = rho
         self.cp = cp
 
     @functools.cached_property
-    def cavity(self) -> tuple[float, float | None]:
+    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
         return obs.truncated_cavity_stats(self.rho, self.cp)
 
-    def excited(self) -> float:
+    def excited(self) -> np.ndarray:
         rho_product = coll.collective_to_product(self.rho, self.cp)
         return _excited(rho_product, coll.product_five_ops()[1])
 
+    def population(self, label: str) -> np.ndarray:
+        return obs.population(self.rho, label)
+
 
 def _collective(label: str):
-    return lambda state: obs.population(state.rho, label, state.cp)
+    return lambda states: states.population(label)
 
 
-# Observable name -> getter on a solved state.  |g,0> is the collective
-# ground state "1", so rho_11 reads it like the polariton populations.
+# Observable name -> its (P,) values on a solved stack; g2 is NaN below the
+# mean-photon floor.  |g,0> is the collective ground state "1", so rho_11
+# reads it like the polariton populations.
 OBSERVABLES = {
-    "mean_n": lambda state: state.cavity[0],
-    "g2": lambda state: math.nan if state.cavity[1] is None else state.cavity[1],
-    "purity": lambda state: obs.purity(state.rho),
+    "mean_n": lambda states: states.cavity[0],
+    "g2": lambda states: states.cavity[1],
+    "purity": lambda states: obs.purity(states.rho),
     "rho_11": _collective("1"),
-    "rho_22": lambda state: state.excited(),
+    "rho_22": lambda states: states.excited(),
     "rho_psipsi": _collective("psi"),
     "rho_phiphi": _collective("phi"),
     "rho_xixi": _collective("xi"),
@@ -156,20 +169,20 @@ class Engine:
         if self.overrides and self.name != "truncated":
             raise ConfigError("g_chi/gamma_chi overrides need engine=truncated")
 
-    def solve(self, params: SystemParams) -> _FullState | _FiveState:
-        return self.solve_many([(params, {})])[0]
+    def solve(self, params: SystemParams) -> _FullStates | _FiveStates:
+        return self.solve_many([(params, {})])
 
-    def solve_many(self, points) -> list[_FullState | _FiveState]:
+    def solve_many(self, points) -> _FullStates | _FiveStates:
         """Solve (params, overrides) points; a point's overrides go over the engine's.
 
         The five-state engine solves every point in one stack of generators,
-        the full engine one sparse generator at a time.
+        the full engine one sparse generator at a time.  Either way the
+        states come back as one stack, in the order of the points.
         """
         if self.name == "full":
-            return [
-                _FullState(steady_state(build_liouvillian(p, self.cutoff)), self.cutoff, p)
-                for p, _ in points
-            ]
+            params = [p for p, _ in points]
+            rho = np.stack([steady_state(build_liouvillian(p, self.cutoff)) for p in params])
+            return _FullStates(rho, self.cutoff, params)
         tps = []
         for params, overrides in points:
             physical = trunc.from_system(params)
@@ -177,29 +190,28 @@ class Engine:
                 tps.append(dataclasses.replace(physical, **{**self.overrides, **overrides}))
             except ValueError as exc:
                 raise ConfigError(f"[engine] {exc}") from exc
-        rhos = steady_state(trunc.truncated_liouvillian(tps))
-        return [_FiveState(rho, tp.cp) for rho, tp in zip(rhos, tps)]
+        rho = steady_state(trunc.truncated_liouvillian(tps))
+        return _FiveStates(rho, [tp.cp for tp in tps])
 
     def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:
-        state = self.solve(params)
-        return {name: OBSERVABLES[name](state) for name in names}
+        states = self.solve(params)
+        return {name: float(OBSERVABLES[name](states)[0]) for name in names}
 
 
-def _rows(engine: Engine, points, names: tuple[str, ...]) -> list[list[float]]:
+def _rows(engine: Engine, points, names: tuple[str, ...]) -> np.ndarray:
     """One row per (x, params, overrides) point: x, then the named observables.
 
     Points go to the engine BATCH_POINTS at a time, which bounds the memory
-    of a long five-state sweep (about 33 KiB of peak memory per point in a batch).
+    of a long five-state sweep: about 33 KiB of peak memory per point in a
+    batch (33.4 KiB for 8192 points solved as one batch).
     """
-    rows = []
+    blocks = []
     for start in range(0, len(points), BATCH_POINTS):
         batch = points[start:start + BATCH_POINTS]
         states = engine.solve_many([(params, overrides) for _, params, overrides in batch])
-        rows += [
-            [x, *(OBSERVABLES[name](state) for name in names)]
-            for (x, _, _), state in zip(batch, states)
-        ]
-    return rows
+        xs = [x for x, _, _ in batch]
+        blocks.append(np.column_stack([xs, *(OBSERVABLES[name](states) for name in names)]))
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +236,10 @@ class Sweep:
             raise ConfigError("sweep range needs lo < hi")
         if self.points < 2:
             raise ConfigError("sweep needs at least 2 points")
+        if self.points > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweep points {self.points} exceed the limit of {MAX_SWEEP_POINTS}"
+            )
 
     def grid(self) -> list[float]:
         return [float(value) for value in np.linspace(self.lo, self.hi, self.points)]
@@ -242,7 +258,7 @@ class Sweep:
 
     def rows(
         self, engine: Engine, base: SystemParams, names: tuple[str, ...]
-    ) -> list[list[float]]:
+    ) -> np.ndarray:
         if self.parameter == "g_chi" and engine.name != "truncated":
             raise ConfigError("g_chi is only sweepable with engine=truncated")
         if self.parameter == "x_phase" and engine.name == "truncated":
@@ -646,14 +662,14 @@ def cmd_oracle_compare(args) -> list[str]:
     _reject_overrides(ini, "oracle-compare")
     params = _parse_system(ini)
     cutoff = _parse_cutoff(args, ini)
-    rho_full = Engine("full", cutoff).solve(params).rho
+    rho_full = Engine("full", cutoff).solve(params).rho[0]
     five = Engine("truncated", cutoff).solve(params)
     # Compare on the retained five-state block: restrict the full state there
     # rather than padding the truncated one with zeros, so the distance is not
     # dominated by small full-space coherences into the discarded states.
     iso = coll.embedding_isometry(cutoff)
     block = iso.conj().T @ rho_full @ iso
-    distance = float(np.linalg.norm(block - coll.collective_to_product(five.rho, five.cp)))
+    distance = float(np.linalg.norm(block - coll.collective_to_product(five.rho[0], five.cp[0])))
     pops = np.real(np.diag(rho_full))
     leaked = float(sum(pop for pop, kept in zip(pops, iso.any(axis=1)) if not kept))
     return _system_comment_lines(params) + [
@@ -704,7 +720,7 @@ def cmd_figure(args) -> list[str]:
     for curve in preset.curves:
         engine = Engine(preset.engine, cutoff, curve.overrides)
         rows = sweep.rows(engine, curve.system, (preset.observable,))
-        columns.append([row[1] for row in rows])
+        columns.append(rows[:, 1])
         header.append(f"{preset.observable}[{curve.label}]")
         extras = "".join(f" {k}={_fmt(v)}" for k, v in sorted(curve.overrides.items()))
         comments.append(f"curve {curve.label}:{extras}")
@@ -728,7 +744,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="chiralqed",
         description="Steady states and photon statistics of a chirally "

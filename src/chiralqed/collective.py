@@ -11,6 +11,7 @@ physics in the product basis cannot depend on it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,41 @@ def from_system(params: SystemParams) -> CollectiveParams:
     return default_gauge(dp.u, dp.w)
 
 
-def basis_change_matrix(cp: CollectiveParams) -> np.ndarray:
+Gauges = CollectiveParams | Sequence[CollectiveParams]
+
+
+def _per_gauge(cp: Gauges, build: Callable[[CollectiveParams], np.ndarray]) -> np.ndarray:
+    """build(cp) for one gauge; for a sequence of P gauges, the stack of build
+    over them along a new first axis, each distinct gauge built once."""
+    if isinstance(cp, CollectiveParams):
+        return build(cp)
+    position: dict[CollectiveParams, int] = {}
+    rows = [position.setdefault(gauge, len(position)) for gauge in cp]
+    return np.stack([build(gauge) for gauge in position])[rows]
+
+
+def _weights(cp: Gauges) -> tuple:
+    """(u, w) of one gauge, or (P,) arrays of them for a sequence of P."""
+    if isinstance(cp, CollectiveParams):
+        return cp.u, cp.w
+    return np.array([gauge.u for gauge in cp]), np.array([gauge.w for gauge in cp])
+
+
+def _per_point(value) -> np.ndarray:
+    """A scalar or (P,) array, shaped to scale 5x5 matrices or a (P, 5, 5) stack."""
+    return np.asarray(value)[..., np.newaxis, np.newaxis]
+
+
+def basis_change_matrix(cp: Gauges) -> np.ndarray:
     """Unitary whose columns are the collective states in product coordinates.
 
     Rows follow the product order |g,0>, |g,1>, |g,2>, |e,0>, |e,1>; columns
-    follow COLLECTIVE_LABELS.
+    follow COLLECTIVE_LABELS.  A sequence of P gauges gives a (P, 5, 5) stack.
     """
+    return _per_gauge(cp, _basis_change)
+
+
+def _basis_change(cp: CollectiveParams) -> np.ndarray:
     u, w, al, be = cp.u, cp.w, cp.alpha, cp.beta
     return np.array(
         [
@@ -126,18 +156,23 @@ def product_five_ops() -> tuple[np.ndarray, np.ndarray]:
     return a5, s5
 
 
-def collective_jump_operators(cp: CollectiveParams) -> tuple[np.ndarray, np.ndarray]:
+def collective_jump_operators(cp: Gauges) -> tuple[np.ndarray, np.ndarray]:
     """Bright (decaying) and dark polariton lowering operators, collective basis.
 
     The bright operator is u a + w sigma- rotated into the collective basis;
     the dark one is w a - u sigma-.  Only the bright one appears in the
-    collective dissipator.
+    collective dissipator.  A sequence of P gauges gives two (P, 5, 5) stacks.
     """
+    pair = _per_gauge(cp, _jump_pair)
+    return pair[..., 0, :, :], pair[..., 1, :, :]
+
+
+def _jump_pair(cp: CollectiveParams) -> np.ndarray:
     unitary = basis_change_matrix(cp)
     a5, s5 = product_five_ops()
     bright = unitary.conj().T @ (cp.u * a5 + cp.w * s5) @ unitary
     dark = unitary.conj().T @ (cp.w * a5 - cp.u * s5) @ unitary
-    return bright, dark
+    return np.stack((bright, dark))
 
 
 def collective_rates(cp: CollectiveParams, gamma_chi: float) -> dict[str, float]:
@@ -155,40 +190,47 @@ def collective_rates(cp: CollectiveParams, gamma_chi: float) -> dict[str, float]
 
 
 def assemble_effective_hamiltonian(
-    cp: CollectiveParams,
-    g_chi: float,
-    delta_s: float,
-    delta: float,
-    omega_c: float,
-    omega_a: float,
-    e_field: complex,
+    cp: Gauges,
+    g_chi: float | np.ndarray,
+    delta_s: float | np.ndarray,
+    delta: float | np.ndarray,
+    omega_c: float | np.ndarray,
+    omega_a: float | np.ndarray,
+    e_field: complex | np.ndarray,
+    jumps: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Five-state Hermitian generator in the collective basis.
 
     g_chi enters as a free coupling here so that values beyond the
     physically reachable bound can be explored; the physical wrapper
     effective_hamiltonian_5 always derives it from the rates.
+
+    Each parameter may be a scalar or a 1-D array of P values, and cp one
+    gauge or a sequence of P; any of these gives a (P, 5, 5) stack, one
+    Hamiltonian per point.  jumps, if given, is collective_jump_operators(cp),
+    so that a caller which also needs the bright operator rotates each
+    gauge once.
     """
-    bright, dark = collective_jump_operators(cp)
-    bright_d = bright.conj().T
-    dark_d = dark.conj().T
-    u, w = cp.u, cp.w
+    bright, dark = collective_jump_operators(cp) if jumps is None else jumps
+    bright_d = np.swapaxes(bright.conj(), -1, -2)
+    dark_d = np.swapaxes(dark.conj(), -1, -2)
+    u, w = _weights(cp)
     shift = (u * u - w * w) * delta
     omega_psi = u * omega_c + w * omega_a
     omega_phi = w * omega_c - u * omega_a
 
-    h = (delta_s - shift) * (dark_d @ dark)
-    h = h + (delta_s + shift) * (bright_d @ bright)
-    h = h + (2.0 * u * w * delta) * (dark_d @ bright + bright_d @ dark)
+    h = _per_point(delta_s - shift) * (dark_d @ dark)
+    h = h + _per_point(delta_s + shift) * (bright_d @ bright)
+    h = h + _per_point(2.0 * u * w * delta) * (dark_d @ bright + bright_d @ dark)
 
-    cavity = w * dark + u * bright  # the bare cavity operator, rotated
-    pump = complex(e_field)
+    cavity = _per_point(w) * dark + _per_point(u) * bright  # the bare cavity operator, rotated
+    pump = _per_point(np.asarray(e_field, dtype=complex))
     pair = cavity @ cavity
-    h = h + 0.5j * (pump.conjugate() * pair - pump * pair.conj().T)
+    h = h + 0.5j * (pump.conj() * pair - pump * np.swapaxes(pair.conj(), -1, -2))
 
-    h = h + 1j * (omega_psi * bright + omega_phi * dark)
-    h = h - 1j * (omega_psi * bright_d + omega_phi * dark_d)
-    h = h + 1j * g_chi * (dark_d @ bright - bright_d @ dark)
+    h = h + 1j * (_per_point(omega_psi) * bright + _per_point(omega_phi) * dark)
+    h = h - 1j * (_per_point(omega_psi) * bright_d + _per_point(omega_phi) * dark_d)
+    h = h + 1j * _per_point(g_chi) * (dark_d @ bright - bright_d @ dark)
     return h
 
 
@@ -210,14 +252,17 @@ def effective_hamiltonian_5(params: SystemParams, cp: CollectiveParams) -> np.nd
     )
 
 
-def collective_to_product(rho5: np.ndarray, cp: CollectiveParams) -> np.ndarray:
+def collective_to_product(rho5: np.ndarray, cp: Gauges) -> np.ndarray:
     """Rotate a collective-basis matrix into the product basis of the five
-    retained states."""
+    retained states.
+
+    rho5 may also be a (P, 5, 5) stack, with cp one gauge or a sequence of P.
+    """
     rho5 = np.asarray(rho5, dtype=complex)
-    if rho5.shape != (5, 5):
-        raise ValueError(f"expected a 5x5 matrix, got {rho5.shape}")
+    if rho5.ndim not in (2, 3) or rho5.shape[-2:] != (5, 5):
+        raise ValueError(f"expected a 5x5 matrix or a stack of them, got {rho5.shape}")
     unitary = basis_change_matrix(cp)
-    return unitary @ rho5 @ unitary.conj().T
+    return unitary @ rho5 @ np.swapaxes(unitary.conj(), -1, -2)
 
 
 def embedding_isometry(cutoff: FockCutoff) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Steady-state observables: photon statistics, purity, populations."""
+"""Steady-state observables: photon statistics, purity, populations.
+
+Each observable of one (D, D) state is a float.  The functions also take a
+(P, D, D) stack of states and then return a (P,) array; g2 is NaN there
+where it is None for one state.
+"""
 
 from __future__ import annotations
 
@@ -12,9 +17,30 @@ from .fock_algebra import BasisLabel, FockCutoff, annihilation, composite_operat
 MEAN_PHOTON_FLOOR = 1e-14
 
 
+def _value(value: np.ndarray) -> float | np.ndarray:
+    """A float for one state, the (P,) array for a stack."""
+    return float(value) if value.ndim == 0 else value
+
+
+def _trace(product: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix in a (D, D) or (P, D, D) array."""
+    return np.trace(product, axis1=-2, axis2=-1).real
+
+
+def _ratio(numerator: np.ndarray, n_mean: np.ndarray) -> float | None | np.ndarray:
+    """numerator / n_mean^2; None for one state (NaN in a stack) where the
+    mean photon number is below MEAN_PHOTON_FLOOR."""
+    if n_mean.ndim == 0:
+        return None if n_mean < MEAN_PHOTON_FLOOR else float(numerator / (n_mean * n_mean))
+    g2 = np.full(n_mean.shape, np.nan)
+    above = ~(n_mean < MEAN_PHOTON_FLOOR)
+    g2[above] = numerator[above] / (n_mean[above] * n_mean[above])
+    return g2
+
+
 def _cavity_number_ops(rho: np.ndarray, cutoff: FockCutoff | None):
     """Pick the cavity operators that match the shape of rho."""
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     if cutoff is not None:
         if dim != cutoff.dim and dim != cutoff.fock_dim:
             raise ValueError(f"cutoff dimension {cutoff.dim} does not match rho ({dim})")
@@ -33,14 +59,13 @@ def _cavity_number_ops(rho: np.ndarray, cutoff: FockCutoff | None):
     return np.kron(np.eye(2, dtype=complex), annihilation(nf - 1))
 
 
-def mean_photon_number(rho: np.ndarray, cutoff: FockCutoff | None = None) -> float:
+def mean_photon_number(rho: np.ndarray, cutoff: FockCutoff | None = None) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     a = _cavity_number_ops(rho, cutoff)
-    value = np.trace(a.conj().T @ a @ rho)
-    return float(value.real)
+    return _value(_trace(a.conj().T @ a @ rho))
 
 
-def g2_zero(rho: np.ndarray, cutoff: FockCutoff | None = None) -> float | None:
+def g2_zero(rho: np.ndarray, cutoff: FockCutoff | None = None) -> float | None | np.ndarray:
     """Equal-time second-order coherence of the cavity mode.
 
     Returns None when the mean photon number is below MEAN_PHOTON_FLOOR,
@@ -48,45 +73,41 @@ def g2_zero(rho: np.ndarray, cutoff: FockCutoff | None = None) -> float | None:
     """
     rho = np.asarray(rho, dtype=complex)
     a = _cavity_number_ops(rho, cutoff)
-    n_op = a.conj().T @ a
-    n_mean = float(np.trace(n_op @ rho).real)
-    if n_mean < MEAN_PHOTON_FLOOR:
-        return None
+    n_mean = _trace(a.conj().T @ a @ rho)
     pair = a @ a
-    numerator = float(np.trace(pair.conj().T @ pair @ rho).real)
-    return numerator / (n_mean * n_mean)
+    return _ratio(_trace(pair.conj().T @ pair @ rho), n_mean)
 
 
-def purity(rho: np.ndarray) -> float:
+def purity(rho: np.ndarray) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    return _value(_trace(rho @ rho))
 
 
 def population(
     rho: np.ndarray,
     label: BasisLabel | str,
     cp: coll.CollectiveParams | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Population of a product state (BasisLabel) or collective state (str label).
 
     Collective labels on a full-space rho need cp to build the embedding; on a
     5x5 collective-basis rho they read the diagonal directly.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     if isinstance(label, BasisLabel):
         if dim % 2 != 0:
             raise ValueError("product-state populations need the full atom (x) field space")
         cutoff = FockCutoff(dim // 2 - 1)
         idx = label_to_index(label, cutoff)
-        value = rho[idx, idx]
+        value = rho[..., idx, idx]
     elif isinstance(label, str):
         if label not in coll.COLLECTIVE_INDEX:
             raise ValueError(f"unknown collective label {label!r}")
         k = coll.COLLECTIVE_INDEX[label]
         if dim == 5:
             # Already in the collective basis.
-            value = rho[k, k]
+            value = rho[..., k, k]
         else:
             if cp is None:
                 raise ValueError("collective populations on the full space need cp")
@@ -97,27 +118,27 @@ def population(
             value = vec.conj() @ rho @ vec
     else:
         raise TypeError(f"label must be BasisLabel or str, got {type(label).__name__}")
-    value = complex(value)
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"population of {label!r} has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    imag = np.ravel(value.imag)
+    worst = imag[np.argmax(np.abs(imag))]
+    if abs(worst) > 1e-12:
+        raise ValueError(f"population of {label!r} has imaginary part {worst:.3e}")
+    return _value(value.real)
 
 
 def truncated_cavity_stats(
-    rho_coll: np.ndarray, cp: coll.CollectiveParams
-) -> tuple[float, float | None]:
+    rho_coll: np.ndarray, cp: coll.Gauges
+) -> tuple[float | np.ndarray, float | None | np.ndarray]:
     """(mean photon number, g2) for a 5x5 collective-basis state.
 
-    Within the two-excitation subspace a^2 only connects |g,2> to |g,0>, so
-    the pair correlator reduces to twice the |g,2> population.
+    A (P, 5, 5) stack takes one gauge or a sequence of P.  Within the
+    two-excitation subspace a^2 only connects |g,2> to |g,0>, so the pair
+    correlator reduces to twice the |g,2> population.
     """
-    rho_prod = coll.collective_to_product(np.asarray(rho_coll, dtype=complex), cp)
+    rho_prod = coll.collective_to_product(rho_coll, cp)
     a5, _ = coll.product_five_ops()
-    n_mean = float(np.trace(a5.conj().T @ a5 @ rho_prod).real)
-    pair = 2.0 * float(rho_prod[2, 2].real)
-    if n_mean < MEAN_PHOTON_FLOOR:
-        return n_mean, None
-    return n_mean, pair / (n_mean * n_mean)
+    n_mean = _trace(a5.conj().T @ a5 @ rho_prod)
+    pair = 2.0 * rho_prod[..., 2, 2].real
+    return _value(n_mean), _ratio(pair, n_mean)
 
 
 @dataclass(frozen=True)

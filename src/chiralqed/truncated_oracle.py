@@ -71,33 +71,29 @@ def from_system(
     )
 
 
-def truncated_hamiltonian(p: TruncatedParams) -> np.ndarray:
-    return coll.assemble_effective_hamiltonian(
-        p.cp,
-        g_chi=p.g_chi,
-        delta_s=p.delta_s,
-        delta=p.delta,
-        omega_c=p.omega_c,
-        omega_a=p.omega_a,
-        e_field=p.e_field,
-    )
-
-
-def bright_operator(p: TruncatedParams) -> np.ndarray:
-    bright, _ = coll.collective_jump_operators(p.cp)
-    return bright
-
-
 def truncated_liouvillian(p: TruncatedParams | list[TruncatedParams]) -> np.ndarray:
     """25x25 generator acting on column-stacked 5x5 density matrices.
 
-    A list of P parameter sets gives a (P, 25, 25) stack, built by one
-    lindblad call on the stacked Hamiltonians and bright jumps.
+    A list of P parameter sets gives a (P, 25, 25) stack; one set is the
+    P = 1 case.  The Hamiltonians and bright jumps are assembled as stacks,
+    each distinct gauge rotated once, and passed to one lindblad call.
     """
     ps = p if isinstance(p, list) else [p]
-    h = np.stack([truncated_hamiltonian(q) for q in ps])
-    jump = np.stack([math.sqrt(q.gamma_chi) * bright_operator(q) for q in ps])
-    lv = lindblad(h, [jump])
+    field = lambda name: np.array([getattr(q, name) for q in ps])
+    cps = [q.cp for q in ps]
+    jumps = coll.collective_jump_operators(cps)
+    h = coll.assemble_effective_hamiltonian(
+        cps,
+        g_chi=field("g_chi"),
+        delta_s=field("delta_s"),
+        delta=field("delta"),
+        omega_c=field("omega_c"),
+        omega_a=field("omega_a"),
+        e_field=field("e_field"),
+        jumps=jumps,
+    )
+    bright = np.sqrt(field("gamma_chi"))[:, np.newaxis, np.newaxis] * jumps[0]
+    lv = lindblad(h, [bright])
     return lv if isinstance(p, list) else lv[0]
 
 

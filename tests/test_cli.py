@@ -8,14 +8,16 @@ import sys
 import tempfile
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralqed import collective as coll
+from chiralqed import observables as obs
 from chiralqed import truncated_oracle as trunc
 from chiralqed import cli
-from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, Engine, main
+from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, OBSERVABLES, Engine, main
 from chiralqed.dynamics import steady_state
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
@@ -24,6 +26,7 @@ from conftest import OUT_OF_RANGE_FIELDS
 
 # The package source of this checkout, for the subprocess tests.
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def _subprocess_env(**extra):
@@ -511,6 +514,50 @@ def test_sweep_rows_do_not_depend_on_the_batch_size(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().out == whole
 
 
+def test_sweep_points_above_the_limit_fail_before_allocating(tmp_path, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("built the grid of a sweep above the points limit")
+
+    monkeypatch.setattr(cli.Sweep, "grid", no_grid)
+    monkeypatch.setattr(Engine, "solve_many", no_grid)
+    for points in (cli.MAX_SWEEP_POINTS + 1, 10**15):
+        cfg = _write(tmp_path, SWEEP_CONFIG.replace("points = 5", f"points = {points}"))
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: sweep points {points} exceed the limit of {cli.MAX_SWEEP_POINTS}\n"
+        )
+
+
+def test_batched_observables_match_the_scalar_readout():
+    points = [
+        (SystemParams(gamma=gamma, delta_c=0.3, omega_c=0.03, omega_a=0.02, e_mag=1e-3), {})
+        for gamma in (0.5, 1.0, 2.0)
+    ]
+    # a drive of 1e-8 leaves the mean photon number (2.5e-17) below the
+    # floor, where g2 is undefined though the ratio is finite
+    points.insert(1, (SystemParams(gamma=1.0, omega_c=1e-8, omega_a=1e-8), {"g_chi": 2.0}))
+    states = Engine("truncated", FockCutoff(8), {"gamma_chi": 1.5}).solve_many(points)
+    table = {name: OBSERVABLES[name](states) for name in OBSERVABLES}
+    cavity = [obs.truncated_cavity_stats(rho, cp) for rho, cp in zip(states.rho, states.cp)]
+    assert 0.0 < cavity[1][0] < obs.MEAN_PHOTON_FLOOR and cavity[1][1] is None
+    s5 = coll.product_five_ops()[1]
+    expected = {
+        "mean_n": [mean_n for mean_n, _ in cavity],
+        "g2": [math.nan if g2 is None else g2 for _, g2 in cavity],
+        "purity": [obs.purity(rho) for rho in states.rho],
+        "rho_22": [
+            np.trace(s5.conj().T @ s5 @ coll.collective_to_product(rho, cp)).real
+            for rho, cp in zip(states.rho, states.cp)
+        ],
+    }
+    for name, label in (("rho_11", "1"), ("rho_psipsi", "psi"), ("rho_phiphi", "phi"),
+                        ("rho_xixi", "xi"), ("rho_zetazeta", "zeta")):
+        expected[name] = [obs.population(rho, label) for rho in states.rho]
+    assert table.keys() == expected.keys()
+    for name, values in expected.items():
+        assert np.array_equal(table[name], values, equal_nan=True), name
+
+
 def test_seventeen_digit_round_trip(tmp_path, capsys):
     cfg = _write(tmp_path, SWEEP_CONFIG)
     assert main(["sweep", "--config", cfg]) == 0
@@ -609,6 +656,25 @@ def test_figure_preset_truncated_population(tmp_path, capsys):
     assert all(float(cell) < 1e-8 for cell in center[1:])
 
 
+def test_figure3_matches_the_golden_file(capsys):
+    """figure3 against tests/data/figure3.csv, written before the five-state
+    sweep was assembled and read out as arrays.  Numbers agree to 1e-13
+    relative rather than byte for byte, so that another BLAS build passes."""
+    assert main(["figure", "figure3"]) == 0
+    produced = capsys.readouterr().out.splitlines()
+    with open(os.path.join(DATA, "figure3.csv"), encoding="utf-8") as handle:
+        golden = handle.read().splitlines()
+    assert len(produced) == len(golden)
+    for line, expected in zip(produced, golden):
+        if line.startswith("#") or line.startswith("delta_s,"):
+            assert line == expected
+            continue
+        cells, expected_cells = line.split(","), expected.split(",")
+        assert len(cells) == len(expected_cells)
+        for cell, reference in zip(cells, expected_cells):
+            assert math.isclose(float(cell), float(reference), rel_tol=1e-13, abs_tol=0.0), line
+
+
 def test_figure_rejects_unknown_id():
     with pytest.raises(SystemExit):
         main(["figure", "figure99"])
@@ -668,6 +734,37 @@ def test_point_writes_output_file(tmp_path, capsys, command):
     assert main(argv + ["--out", str(out_file)]) == 0
     assert capsys.readouterr().out == ""
     assert printed and out_file.read_bytes() == printed.encode("utf-8")
+
+
+def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
+    """Calls in one process print what each prints in a fresh process, the
+    argument parser being built once and shared between them."""
+    # argparse wraps --help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    driven = _write(tmp_path, DARK_SYSTEM, name="driven.ini")
+    cfg = _write(tmp_path, SWEEP_CONFIG.replace("engine = truncated", "engine = full"))
+    calls = (
+        ["point", "--config", driven, "--cutoff", "5"],
+        ["point", "--config", driven],
+        ["sweep", "--config", cfg, "--engine", "truncated"],
+        ["--help"],
+        ["point", "--config", driven],
+    )
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "chiralqed.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(COLUMNS="80"),
+        )
+        assert (code, in_process.out, in_process.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
 
 
 def test_unwritable_out_fails_before_solving(tmp_path, capsys, monkeypatch):

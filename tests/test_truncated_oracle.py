@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from chiralqed.dynamics import (
     vectorize,
 )
 from chiralqed.fock_algebra import FockCutoff
-from chiralqed.model import SystemParams, build_liouvillian, derive
+from chiralqed.model import SystemParams, build_liouvillian, derive, lindblad
 
-from conftest import random_density, truncated_rhs
+from conftest import five_state_operators, random_density, truncated_rhs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,10 +68,47 @@ def _weights(gamma: float) -> tuple[float, float]:
 
 def test_hamiltonian_agrees_with_collective_builder():
     tp = trunc.from_system(GENERIC)
-    h = trunc.truncated_hamiltonian(tp)
+    h, _ = five_state_operators(tp)
     np.testing.assert_allclose(
         h, coll.effective_hamiltonian_5(GENERIC, tp.cp), atol=1e-14
     )
+
+
+def _per_point_generators(tps):
+    """Each point's generator from its own scalar assembly, stacked afterwards."""
+    generators = []
+    for tp in tps:
+        h, bright = five_state_operators(tp)
+        generators.append(lindblad(h, [math.sqrt(tp.gamma_chi) * bright]))
+    return np.stack(generators)
+
+
+def test_gamma_sweep_stack_matches_per_point_assembly():
+    # each gamma has its own weights (u, w), so every point has its own gauge
+    tps = [
+        trunc.from_system(replace(GENERIC, gamma=gamma))
+        for gamma in np.linspace(0.25, 4.0, 7)
+    ]
+    assert len({tp.cp for tp in tps}) == len(tps)
+    stacked, per_point = trunc.truncated_liouvillian(tps), _per_point_generators(tps)
+    assert np.array_equal(stacked, per_point)
+    assert stacked.tobytes() == per_point.tobytes()  # signed zeros too
+
+
+def test_stack_with_mixed_overrides_matches_per_point_assembly():
+    physical = trunc.from_system(GENERIC)
+    tps = [
+        physical,
+        replace(physical, g_chi=4.0),
+        replace(physical, gamma_chi=0.5),
+        replace(physical, g_chi=-1.5, gamma_chi=3.0),
+        trunc.from_system(replace(GENERIC, delta_c=-2.0, gamma=2.0)),
+        physical,
+    ]
+    stacked, per_point = trunc.truncated_liouvillian(tps), _per_point_generators(tps)
+    assert np.array_equal(stacked, per_point)
+    assert stacked.tobytes() == per_point.tobytes()  # signed zeros too
+    assert trunc.truncated_liouvillian(tps[1]).tobytes() == stacked[1].tobytes()
 
 
 def test_rhs_matches_liouvillian_route(rng):
@@ -127,7 +165,7 @@ def test_double_states_feed_singles_at_tabulated_rates(rng):
     rho = np.diag([1 - p_xi - p_zeta, 0.0, 0.0, p_xi, p_zeta]).astype(complex)
     drho = truncated_rhs(rho, tp)
     # remove the coherent-drive contribution to isolate the decay feed
-    h = trunc.truncated_hamiltonian(tp)
+    h, _ = five_state_operators(tp)
     coherent = -1j * (h @ rho - rho @ h)
     feed = drho - coherent
     assert feed[2, 2].real == pytest.approx(

@@ -8,7 +8,6 @@ from .collective import (
     collective_jump_operators,
     collective_rates,
     default_gauge,
-    effective_hamiltonian_5,
     embedding_isometry,
 )
 from .dark_state import (
@@ -34,6 +33,7 @@ from .observables import ObservableSet, collect, g2_zero, mean_photon_number, po
 from .truncated_oracle import (
     TruncatedParams,
     truncated_liouvillian,
+    truncated_operators,
     truncated_steady,
 )
 
@@ -67,7 +67,6 @@ __all__ = [
     "derive",
     "dfs_requirements_double",
     "dfs_state_single",
-    "effective_hamiltonian_5",
     "embedding_isometry",
     "evolve",
     "g2_zero",
@@ -77,5 +76,6 @@ __all__ = [
     "purity",
     "steady_state",
     "truncated_liouvillian",
+    "truncated_operators",
     "truncated_steady",
 ]

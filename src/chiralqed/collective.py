@@ -49,9 +49,6 @@ class CollectiveAmplitudes:
             dtype=complex,
         )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_vector()))
-
 
 @dataclass(frozen=True)
 class CollectiveParams:
@@ -107,18 +104,6 @@ def _per_gauge(cp: Gauges, build: Callable[[CollectiveParams], np.ndarray]) -> n
     position: dict[CollectiveParams, int] = {}
     rows = [position.setdefault(gauge, len(position)) for gauge in cp]
     return np.stack([build(gauge) for gauge in position])[rows]
-
-
-def _weights(cp: Gauges) -> tuple:
-    """(u, w) of one gauge, or (P,) arrays of them for a sequence of P."""
-    if isinstance(cp, CollectiveParams):
-        return cp.u, cp.w
-    return np.array([gauge.u for gauge in cp]), np.array([gauge.w for gauge in cp])
-
-
-def _per_point(value) -> np.ndarray:
-    """A scalar or (P,) array, shaped to scale 5x5 matrices or a (P, 5, 5) stack."""
-    return np.asarray(value)[..., np.newaxis, np.newaxis]
 
 
 def basis_change_matrix(cp: Gauges) -> np.ndarray:
@@ -187,69 +172,6 @@ def collective_rates(cp: CollectiveParams, gamma_chi: float) -> dict[str, float]
         "zeta_phi": gamma_chi * (SQRT2 * w * sg + al) ** 2,
         "zeta_psi": 2.0 * u * u * gamma_chi * sg * sg,
     }
-
-
-def assemble_effective_hamiltonian(
-    cp: Gauges,
-    g_chi: float | np.ndarray,
-    delta_s: float | np.ndarray,
-    delta: float | np.ndarray,
-    omega_c: float | np.ndarray,
-    omega_a: float | np.ndarray,
-    e_field: complex | np.ndarray,
-    jumps: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Five-state Hermitian generator in the collective basis.
-
-    g_chi enters as a free coupling here so that values beyond the
-    physically reachable bound can be explored; the physical wrapper
-    effective_hamiltonian_5 always derives it from the rates.
-
-    Each parameter may be a scalar or a 1-D array of P values, and cp one
-    gauge or a sequence of P; any of these gives a (P, 5, 5) stack, one
-    Hamiltonian per point.  jumps, if given, is collective_jump_operators(cp),
-    so that a caller which also needs the bright operator rotates each
-    gauge once.
-    """
-    bright, dark = collective_jump_operators(cp) if jumps is None else jumps
-    bright_d = np.swapaxes(bright.conj(), -1, -2)
-    dark_d = np.swapaxes(dark.conj(), -1, -2)
-    u, w = _weights(cp)
-    shift = (u * u - w * w) * delta
-    omega_psi = u * omega_c + w * omega_a
-    omega_phi = w * omega_c - u * omega_a
-
-    h = _per_point(delta_s - shift) * (dark_d @ dark)
-    h = h + _per_point(delta_s + shift) * (bright_d @ bright)
-    h = h + _per_point(2.0 * u * w * delta) * (dark_d @ bright + bright_d @ dark)
-
-    cavity = _per_point(w) * dark + _per_point(u) * bright  # the bare cavity operator, rotated
-    pump = _per_point(np.asarray(e_field, dtype=complex))
-    pair = cavity @ cavity
-    h = h + 0.5j * (pump.conj() * pair - pump * np.swapaxes(pair.conj(), -1, -2))
-
-    h = h + 1j * (_per_point(omega_psi) * bright + _per_point(omega_phi) * dark)
-    h = h - 1j * (_per_point(omega_psi) * bright_d + _per_point(omega_phi) * dark_d)
-    h = h + 1j * _per_point(g_chi) * (dark_d @ bright - bright_d @ dark)
-    return h
-
-
-def effective_hamiltonian_5(params: SystemParams, cp: CollectiveParams) -> np.ndarray:
-    """Collective-basis Hamiltonian for a physical parameter set."""
-    dp = derive(params)
-    if abs(cp.u - dp.u) > 1e-12 or abs(cp.w - dp.w) > 1e-12:
-        raise ValueError(
-            "collective weights (u, w) disagree with the rates in params"
-        )
-    return assemble_effective_hamiltonian(
-        cp,
-        g_chi=dp.g_chi,
-        delta_s=dp.delta_s,
-        delta=dp.delta,
-        omega_c=params.omega_c,
-        omega_a=params.omega_a,
-        e_field=params.e_field,
-    )
 
 
 def collective_to_product(rho5: np.ndarray, cp: Gauges) -> np.ndarray:

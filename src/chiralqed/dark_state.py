@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import collective as coll
+from . import truncated_oracle as trunc
 from .collective import CollectiveAmplitudes
 from .model import DerivedParams, SystemParams, derive
 
@@ -145,7 +146,6 @@ def dark_conditions_double(params: SystemParams) -> DarkReport:
     nonzero residuals so callers can rank near-dark operating points.
     """
     dp = derive(params)
-    cp = coll.default_gauge(dp.u, dp.w)
 
     hyp40 = math.hypot(dp.delta, dp.g_chi)
     pf = _phase_factor(2.0 * dp.u * dp.w * dp.delta, dp.g_chi)
@@ -180,8 +180,7 @@ def dark_conditions_double(params: SystemParams) -> DarkReport:
         predicted = CollectiveAmplitudes(c1=1.0 + 0j, c_phi=0j)
 
     vec = predicted.as_vector()
-    bright, _ = coll.collective_jump_operators(cp)
-    h_eff = coll.effective_hamiltonian_5(params, cp)
+    h_eff, bright = trunc.truncated_operators(trunc.from_system(params))
     h_vec = h_eff @ vec
     return DarkReport(
         dfs_residual=float(np.linalg.norm(bright @ h_vec)),

@@ -75,10 +75,6 @@ class DerivedParams:
     the bright and dark polaritons and gamma_chi the collective decay rate.
     delta_s and delta are the mean and half-difference of the two detunings,
     and omega_psi / omega_phi the bright and dark drive combinations.
-
-    theta is the phase of the complex number (2 u w delta + i g_chi).  When
-    both parts vanish the phase carries no information; theta is then set to
-    0.0 and theta_defined is False so callers can branch on it.
     """
 
     u: float
@@ -89,8 +85,6 @@ class DerivedParams:
     delta: float
     omega_psi: float
     omega_phi: float
-    theta: float
-    theta_defined: bool = True
 
 
 def derive(params: SystemParams) -> DerivedParams:
@@ -104,9 +98,6 @@ def derive(params: SystemParams) -> DerivedParams:
     delta = 0.5 * (params.delta_c - params.delta_a)
     omega_psi = u * params.omega_c + w * params.omega_a
     omega_phi = w * params.omega_c - u * params.omega_a
-    cross = 2.0 * u * w * delta
-    defined = not (g_chi == 0.0 and cross == 0.0)
-    theta = math.atan2(g_chi, cross) if defined else 0.0
     return DerivedParams(
         u=u,
         w=w,
@@ -116,8 +107,6 @@ def derive(params: SystemParams) -> DerivedParams:
         delta=delta,
         omega_psi=omega_psi,
         omega_phi=omega_phi,
-        theta=theta,
-        theta_defined=defined,
     )
 
 

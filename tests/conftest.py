@@ -13,8 +13,6 @@ tautology.
 ``truncated_rhs`` is the matching reference for the five-state model: it
 applies the Hamiltonian and the bright-polariton dissipator to a density
 matrix directly, where ``chiralqed.truncated_oracle`` builds a generator.
-``five_state_operators`` assembles those two operators for one point on its
-own, the per-point reference for the stacked assembly.
 ``index_to_label`` and ``product_to_collective`` invert library maps so the
 tests can check round trips.
 """
@@ -78,27 +76,12 @@ def cascade_liouvillian(params: SystemParams, n_max: int) -> np.ndarray:
     return lv
 
 
-def five_state_operators(p: trunc.TruncatedParams) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian and bright operator of one five-state point, from scalars."""
-    h = coll.assemble_effective_hamiltonian(
-        p.cp,
-        g_chi=p.g_chi,
-        delta_s=p.delta_s,
-        delta=p.delta,
-        omega_c=p.omega_c,
-        omega_a=p.omega_a,
-        e_field=p.e_field,
-    )
-    bright, _ = coll.collective_jump_operators(p.cp)
-    return h, bright
-
-
 def truncated_rhs(rho: np.ndarray, p: trunc.TruncatedParams) -> np.ndarray:
     """Time derivative of a 5x5 collective-basis density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (5, 5):
         raise ValueError(f"expected a 5x5 density matrix, got {rho.shape}")
-    h, bright = five_state_operators(p)
+    h, bright = trunc.truncated_operators(p)
     bright_d = bright.conj().T
     sink = bright_d @ bright
     out = -1j * (h @ rho - rho @ h)

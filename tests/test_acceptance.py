@@ -287,7 +287,7 @@ def test_criterion_8_invariant_suite():
             worst_unitarity,
             float(np.linalg.norm(basis.conj().T @ basis - np.eye(5))),
         )
-        h5 = coll.effective_hamiltonian_5(generic, cp)
+        h5, _ = trunc.truncated_operators(trunc.from_system(generic, cp))
         u, w, al, be = cp.u, cp.w, cp.alpha, cp.beta
         oc, oa = generic.omega_c, generic.omega_a
         expected = {
@@ -316,7 +316,7 @@ def test_criterion_8_invariant_suite():
     report = ds.dark_conditions_double(CANONICAL)
     state = report.predicted_state.as_vector()
     jump, _ = coll.collective_jump_operators(cp0)
-    h5_canonical = coll.effective_hamiltonian_5(CANONICAL, cp0)
+    h5_canonical, _ = trunc.truncated_operators(trunc.from_system(CANONICAL, cp0))
     jump_norm = float(np.linalg.norm(jump @ state))
     hamiltonian_norm = float(np.linalg.norm(h5_canonical @ state))
 

@@ -3,6 +3,7 @@ import filecmp
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -656,23 +657,49 @@ def test_figure_preset_truncated_population(tmp_path, capsys):
     assert all(float(cell) < 1e-8 for cell in center[1:])
 
 
-def test_figure3_matches_the_golden_file(capsys):
-    """figure3 against tests/data/figure3.csv, written before the five-state
-    sweep was assembled and read out as arrays.  Numbers agree to 1e-13
-    relative rather than byte for byte, so that another BLAS build passes."""
-    assert main(["figure", "figure3"]) == 0
-    produced = capsys.readouterr().out.splitlines()
-    with open(os.path.join(DATA, "figure3.csv"), encoding="utf-8") as handle:
+def _assert_matches_golden(produced: str, name: str) -> None:
+    """produced against tests/data/<name>, line by line.
+
+    Comment lines match exactly; elsewhere, the pieces between ',' and ' = '
+    match as text or, where they differ, as numbers to 1e-13 relative, so
+    that another BLAS build passes.
+    """
+    with open(os.path.join(DATA, name), encoding="utf-8") as handle:
         golden = handle.read().splitlines()
-    assert len(produced) == len(golden)
-    for line, expected in zip(produced, golden):
-        if line.startswith("#") or line.startswith("delta_s,"):
+    lines = produced.splitlines()
+    assert len(lines) == len(golden)
+    for line, expected in zip(lines, golden):
+        if line.startswith("#"):
             assert line == expected
             continue
-        cells, expected_cells = line.split(","), expected.split(",")
-        assert len(cells) == len(expected_cells)
-        for cell, reference in zip(cells, expected_cells):
-            assert math.isclose(float(cell), float(reference), rel_tol=1e-13, abs_tol=0.0), line
+        pieces, expected_pieces = re.split(",| = ", line), re.split(",| = ", expected)
+        assert len(pieces) == len(expected_pieces), line
+        for piece, reference in zip(pieces, expected_pieces):
+            if piece != reference:
+                assert math.isclose(float(piece), float(reference), rel_tol=1e-13, abs_tol=0.0), line
+
+
+def test_figure3_matches_the_golden_file(capsys):
+    """figure3 against the output written before the five-state sweep was
+    assembled and read out as arrays."""
+    assert main(["figure", "figure3"]) == 0
+    _assert_matches_golden(capsys.readouterr().out, "figure3.csv")
+
+
+@pytest.mark.parametrize(
+    "command, config, golden",
+    [
+        ("point", "readme.ini", "point_readme.txt"),
+        ("point", "pumped_truncated.ini", "point_pumped_truncated.txt"),
+        ("darkcheck", "readme.ini", "darkcheck_readme.txt"),
+    ],
+)
+def test_report_matches_the_golden_file(capsys, command, config, golden):
+    """Reports against the output written before the dark-state residuals and
+    the five-state engine took their operators from truncated_operators.
+    readme.ini is the README's example config."""
+    assert main([command, "--config", os.path.join(DATA, config)]) == 0
+    _assert_matches_golden(capsys.readouterr().out, golden)
 
 
 def test_figure_rejects_unknown_id():

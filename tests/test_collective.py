@@ -26,6 +26,12 @@ def _random_gauge(rng) -> coll.CollectiveParams:
     return coll.CollectiveParams(u=u, w=w, alpha=math.cos(t), beta=math.sin(t))
 
 
+def _hamiltonian(cp: coll.CollectiveParams, **fields) -> np.ndarray:
+    """Five-state Hamiltonian of one point; gamma_chi does not enter it."""
+    h, _ = trunc.truncated_operators(trunc.TruncatedParams(gamma_chi=0.0, cp=cp, **fields))
+    return h
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         coll.CollectiveParams(u=0.9, w=0.9, alpha=1.0, beta=0.0)
@@ -174,7 +180,7 @@ def test_collective_rates_rejects_negative():
 def test_effective_hamiltonian_hermitian(rng):
     for _ in range(5):
         cp = _random_gauge(rng)
-        h = coll.assemble_effective_hamiltonian(
+        h = _hamiltonian(
             cp,
             g_chi=float(rng.uniform(0.0, 2.0)),
             delta_s=float(rng.uniform(-1.0, 1.0)),
@@ -191,7 +197,7 @@ def test_effective_hamiltonian_detuning_diagonal(rng):
     for _ in range(3):
         cp = _random_gauge(rng)
         ds = float(rng.uniform(-2.0, 2.0))
-        h = coll.assemble_effective_hamiltonian(
+        h = _hamiltonian(
             cp, g_chi=0.0, delta_s=ds, delta=0.0,
             omega_c=0.0, omega_a=0.0, e_field=0j,
         )
@@ -202,7 +208,7 @@ def test_chiral_coupling_population_exchange(rng):
     """The coherent coupling alone transfers symmetric <-> antisymmetric weight."""
     g = 0.8
     for cp in (coll.default_gauge(*_weights(1.0)), _random_gauge(rng)):
-        h = coll.assemble_effective_hamiltonian(
+        h = _hamiltonian(
             cp, g_chi=g, delta_s=0.0, delta=0.0,
             omega_c=0.0, omega_a=0.0, e_field=0j,
         )
@@ -220,7 +226,7 @@ def test_drive_block_transcription(rng):
         cp = _random_gauge(rng)
         oc = float(rng.uniform(0.0, 0.3))
         oa = float(rng.uniform(0.0, 0.3))
-        h = coll.assemble_effective_hamiltonian(
+        h = _hamiltonian(
             cp, g_chi=0.0, delta_s=0.0, delta=0.0,
             omega_c=oc, omega_a=oa, e_field=0j,
         )
@@ -240,20 +246,13 @@ def test_drive_block_transcription(rng):
 def test_pump_elements(rng):
     cp = _random_gauge(rng)
     e_field = complex(3e-3, -1e-3)
-    h = coll.assemble_effective_hamiltonian(
+    h = _hamiltonian(
         cp, g_chi=0.0, delta_s=0.0, delta=0.0,
         omega_c=0.0, omega_a=0.0, e_field=e_field,
     )
     # <1|H|xi> = i alpha conj(E)/sqrt(2) and <1|H|zeta> = i beta conj(E)/sqrt(2)
     assert h[0, 3] == pytest.approx(1j * cp.alpha * np.conj(e_field) / SQRT2)
     assert h[0, 4] == pytest.approx(1j * cp.beta * np.conj(e_field) / SQRT2)
-
-
-def test_effective_hamiltonian_5_weight_check():
-    p = SystemParams(gamma=1.0)
-    wrong = coll.default_gauge(*_weights(2.0))
-    with pytest.raises(ValueError):
-        coll.effective_hamiltonian_5(p, wrong)
 
 
 def test_basis_rotation_round_trip(rng):

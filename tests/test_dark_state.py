@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chiralqed import collective as coll
 from chiralqed import dark_state as ds
 from chiralqed import truncated_oracle as trunc
 from chiralqed.model import DerivedParams, SystemParams, derive
@@ -15,13 +14,9 @@ SQRT2 = math.sqrt(2.0)
 
 def _derived(u=1 / SQRT2, w=1 / SQRT2, g_chi=0.5, delta=0.0, delta_s=0.0,
              omega_psi=0.0, omega_phi=0.0):
-    cross = 2.0 * u * w * delta
-    defined = not (g_chi == 0.0 and cross == 0.0)
     return DerivedParams(
         u=u, w=w, g_chi=g_chi, gamma_chi=2.0, delta_s=delta_s, delta=delta,
         omega_psi=omega_psi, omega_phi=omega_phi,
-        theta=math.atan2(g_chi, cross) if defined else 0.0,
-        theta_defined=defined,
     )
 
 
@@ -267,9 +262,7 @@ def test_interference_rates_are_hamiltonian_amplitudes(rng):
         c1 = complex(rng.normal(), rng.normal())
         c_phi = complex(rng.normal(), rng.normal())
         r_xi, r_zeta = ds.interference_rates(p, c1, c_phi)
-        d = derive(p)
-        cp = coll.default_gauge(d.u, d.w)
-        h = coll.effective_hamiltonian_5(p, cp)
+        h, _ = trunc.truncated_operators(trunc.from_system(p))
         state = np.array([c1, 0.0, c_phi, 0.0, 0.0], dtype=complex)
         hv = h @ state
         assert abs(r_xi - (-1j) * hv[3]) < 1e-15

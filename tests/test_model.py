@@ -102,20 +102,6 @@ def test_derive_drive_combinations():
     assert balanced.omega_phi == 0.0
 
 
-def test_derive_theta_branches():
-    on_resonance = derive(SystemParams(chi=0.0))
-    assert on_resonance.theta_defined
-    assert on_resonance.theta == pytest.approx(math.pi / 2)
-
-    undefined = derive(SystemParams(chi=1.0))  # g_chi = 0 and delta = 0
-    assert not undefined.theta_defined
-    assert undefined.theta == 0.0
-
-    detuned = derive(SystemParams(chi=1.0, delta_c=1.0, delta_a=-1.0))
-    assert detuned.theta_defined
-    assert detuned.theta == pytest.approx(0.0)
-
-
 def test_hamiltonian_zero_params():
     h = build_hamiltonian(SystemParams(), CUTOFF)
     np.testing.assert_array_equal(h, np.zeros((CUTOFF.dim, CUTOFF.dim)))

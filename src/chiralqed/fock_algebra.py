@@ -7,6 +7,7 @@ atom_index * (n_max + 1) + n.  Every other module relies on this ordering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,20 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def composite_operators(cutoff: FockCutoff | int) -> tuple[np.ndarray, np.ndarray]:
-    """Cavity annihilation and atom lowering on the full product space."""
-    n_max = _as_n_max(cutoff)
+    """Cavity annihilation and atom lowering on the full product space.
+
+    The pair is built once per n_max and shared, so both arrays are
+    read-only; copy one before writing into it.
+    """
+    return _composite_operators(_as_n_max(cutoff))
+
+
+@functools.lru_cache(maxsize=8)
+def _composite_operators(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     eye_field = np.eye(n_max + 1, dtype=complex)
     eye_atom = np.eye(2, dtype=complex)
     a = kron(eye_atom, annihilation(n_max))
     sm = kron(atom_lowering(), eye_field)
+    a.flags.writeable = False
+    sm.flags.writeable = False
     return a, sm

@@ -143,17 +143,113 @@ def lindblad(h, jumps):
     return lv
 
 
-def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
-    """Hermitian generator: detunings, pair pump, and coherent drives."""
+def _weights(params: SystemParams) -> tuple[list[float], list[float]]:
+    """Real coordinates of the generator in the affine terms of _terms.
+
+    The first list weights _hermitian_basis: the detunings, then the
+    quadratures (Re c, Im c) of each coupling c O + conj(c) O+, for O = a^2
+    (pair pump), a and sigma (drives) and sigma+ a (the cascaded exchange
+    H_R + H_L).  The second weights the dissipator blocks by the real
+    coordinates of the rate matrix Gamma = sum_c alpha_c alpha_c+ of the jump
+    amplitudes alpha_c on (a, sigma): Gamma_aa, Gamma_ss, Re and Im Gamma_as.
+    """
+    p = cmath.rect(1.0, math.remainder(params.x_phase, math.tau))
+    root = math.sqrt(params.kappa * params.gamma)
+    couplings = (
+        0.5j * params.e_field.conjugate(),
+        1j * params.omega_c,
+        1j * params.omega_a,
+        -0.5j * root * (p - params.chi * p.conjugate()),
+    )
+    hamiltonian = [params.delta_c, params.delta_a]
+    for c in couplings:
+        hamiltonian += [c.real, c.imag]
+    channels = (
+        (p * math.sqrt(params.kappa), math.sqrt(params.gamma)),
+        (math.sqrt(params.chi * params.kappa), p * math.sqrt(params.chi * params.gamma)),
+    )
+    cross = sum(c_a * c_s.conjugate() for c_a, c_s in channels)
+    rates = [
+        sum((c_a * c_a.conjugate()).real for c_a, _ in channels),
+        sum((c_s * c_s.conjugate()).real for _, c_s in channels),
+        cross.real,
+        cross.imag,
+    ]
+    return hamiltonian, rates
+
+
+def _hermitian_basis(cutoff: FockCutoff) -> tuple[np.ndarray, ...]:
+    """a+ a, sigma+ sigma, then O + O+ and i (O - O+) for O = a^2, a, sigma, sigma+ a."""
     a, sm = composite_operators(cutoff)
-    ad = a.conj().T
-    sp = sm.conj().T
-    e = params.e_field
-    h = params.delta_c * (ad @ a) + params.delta_a * (sp @ sm)
-    h = h + 0.5j * (e.conjugate() * (a @ a) - e * (ad @ ad))
-    h = h + 1j * (params.omega_c * a + params.omega_a * sm)
-    h = h - 1j * (params.omega_c * ad + params.omega_a * sp)
-    return h
+    ad, sp = a.conj().T, sm.conj().T
+    basis = [ad @ a, sp @ sm]
+    for op in (a @ a, a, sm, sp @ a):
+        basis += [op + op.conj().T, 1j * (op - op.conj().T)]
+    return tuple(basis)
+
+
+def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
+    """Hermitian generator: detunings, pair pump, and coherent drives.
+
+    The cascaded exchange, the last two weights of the same basis, belongs
+    to the generator and is left out here.
+    """
+    weights, _ = _weights(params)
+    basis = _hermitian_basis(cutoff)
+    return sum(w * b for w, b in zip(weights[:-2], basis[:-2]))
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """Fixed generator terms on one shared CSR pattern.
+
+    Term k has the values `values[k]` at the entries `positions[k]` of the
+    pattern (indptr, indices); a generator is their real-weighted sum.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+
+
+def _entry_keys(matrix: scipy.sparse.csr_array) -> np.ndarray:
+    """row * width + column of each stored entry of a canonical CSR matrix, in order."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return rows * matrix.shape[1] + matrix.indices
+
+
+@functools.lru_cache(maxsize=4)
+def _terms(cutoff: FockCutoff) -> _Terms:
+    """The Hamiltonian terms, then the dissipator blocks, of a generator at a cutoff.
+
+    Each comes from lindblad: a Hermitian basis element with no jumps, or a
+    dissipator block with a zero Hamiltonian.  The cross blocks come by
+    polarisation: D[a + sigma] - D[a] - D[sigma] is weighted by Re Gamma_as
+    and D[a - i sigma] - D[a] - D[sigma] by Im Gamma_as.
+    """
+    csr = scipy.sparse.csr_array
+    a, sm = (csr(op) for op in composite_operators(cutoff))
+    zero = csr(a.shape, dtype=complex)
+    terms = [lindblad(csr(b), []) for b in _hermitian_basis(cutoff)]
+    decay_a, decay_s = lindblad(zero, [a]), lindblad(zero, [sm])
+    terms += [
+        decay_a,
+        decay_s,
+        lindblad(zero, [a + sm]) - decay_a - decay_s,
+        lindblad(zero, [a - 1j * sm]) - decay_a - decay_s,
+    ]
+    # A sum of absolute values cannot cancel, so it holds every entry of every term.
+    pattern = sum(abs(term) for term in terms)
+    keys = _entry_keys(pattern)
+    positions = tuple(
+        np.searchsorted(keys, _entry_keys(term)).astype(pattern.indices.dtype) for term in terms
+    )
+    values = tuple(term.data for term in terms)
+    for array in (pattern.indptr, pattern.indices, *positions, *values):
+        array.flags.writeable = False
+    return _Terms(pattern.shape, pattern.indptr, pattern.indices, positions, values)
 
 
 def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
@@ -170,23 +266,21 @@ def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.
     H_L = (1/2i) chi sqrt(kappa gamma) (p a+ sigma - conj(p) sigma+ a).
     At chi = 0 no atomic parameter reaches the cavity's reduced state.
 
-    The placement phase is argument-reduced first, so multiples of 2 pi
-    reproduce the reference generator entrywise.  Call .toarray() on the
-    result for the dense matrix.
+    The generator is affine in the parameters: L = sum_k w_k T_k over 14
+    fixed sparse terms, ten from a Hermitian basis of the Hamiltonian and
+    four dissipator blocks weighted by the rate matrix of the two jumps (see
+    _weights).  The terms are built with lindblad once per cutoff and
+    cached, so a call costs one scatter-add of each term into a fresh
+    array.  The placement phase is argument-reduced first, so multiples of
+    2 pi reproduce the reference generator entrywise.  The result owns its
+    arrays; call .toarray() on it for the dense matrix.
     """
-    a, sm = composite_operators(cutoff)
-    sp_a = sm.conj().T @ a
-    ad_sm = a.conj().T @ sm
-    p = cmath.rect(1.0, math.remainder(params.x_phase, math.tau))
-    root = math.sqrt(params.kappa * params.gamma)
-    h = build_hamiltonian(params, cutoff)
-    h = h - 0.5j * root * (p * sp_a - p.conjugate() * ad_sm)
-    h = h - 0.5j * params.chi * root * (p * ad_sm - p.conjugate() * sp_a)
-    jumps = [math.sqrt(params.gamma) * sm + p * math.sqrt(params.kappa) * a]
-    if params.chi > 0:
-        jumps.append(
-            math.sqrt(params.chi * params.kappa) * a
-            + p * math.sqrt(params.chi * params.gamma) * sm
-        )
-    csr = scipy.sparse.csr_array
-    return lindblad(csr(h), [csr(c) for c in jumps])
+    terms = _terms(cutoff)
+    hamiltonian, rates = _weights(params)
+    data = np.zeros(terms.indices.size, dtype=complex)
+    for weight, positions, values in zip(hamiltonian + rates, terms.positions, terms.values):
+        if weight:
+            np.add.at(data, positions, weight * values)
+    return scipy.sparse.csr_array(
+        (data, terms.indices.copy(), terms.indptr.copy()), shape=terms.shape
+    )

@@ -20,6 +20,7 @@ tests can check round trips.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ from chiralqed import collective as coll
 from chiralqed import truncated_oracle as trunc
 from chiralqed.fock_algebra import BasisLabel, FockCutoff
 from chiralqed.model import SystemParams
+
+
+# The package source of this checkout, for the subprocess tests.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env(**extra) -> dict[str, str]:
+    """This process's environment, with this checkout's package importable."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def _destroy(n_levels: int) -> np.ndarray:

@@ -23,16 +23,9 @@ from chiralqed.dynamics import steady_state
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
 
-from conftest import OUT_OF_RANGE_FIELDS
+from conftest import OUT_OF_RANGE_FIELDS, subprocess_env
 
-# The package source of this checkout, for the subprocess tests.
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-
-
-def _subprocess_env(**extra):
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 DARK_SYSTEM = """
@@ -442,7 +435,7 @@ def test_sweep_output_is_deterministic(tmp_path):
              "--config", cfg, "--out", str(out)],
             capture_output=True,
             text=True,
-            env=_subprocess_env(),
+            env=subprocess_env(),
         )
         assert result.returncode == 0, result.stderr
     assert filecmp.cmp(first, second, shallow=False)
@@ -453,7 +446,7 @@ def _outputs_at_one_and_two_threads(tmp_path, argv):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.csv"
-        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                               MKL_NUM_THREADS=threads)
         result = subprocess.run(
             [sys.executable, "-m", "chiralqed.cli", *argv, "--out", str(out)],
@@ -787,7 +780,7 @@ def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
             [sys.executable, "-m", "chiralqed.cli", *argv],
             capture_output=True,
             text=True,
-            env=_subprocess_env(COLUMNS="80"),
+            env=subprocess_env(COLUMNS="80"),
         )
         assert (code, in_process.out, in_process.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr

@@ -145,3 +145,11 @@ def test_composite_operators_action():
     np.testing.assert_array_equal(sm @ ket("g", 0), np.zeros(6))
     # the two factors commute
     np.testing.assert_allclose(a @ sm, sm @ a, atol=1e-15)
+
+
+def test_composite_operators_are_built_once_and_read_only():
+    a, sm = composite_operators(FockCutoff(3))
+    assert composite_operators(3)[0] is a
+    for op in (a, sm):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 1] = 0.0

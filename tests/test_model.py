@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from dataclasses import fields, replace
@@ -274,3 +275,107 @@ def test_symmetric_coupling_has_no_coherent_exchange():
     lv = build_liouvillian(p, CUTOFF).toarray()
     ref = cascade_liouvillian(p, CUTOFF.n_max)
     np.testing.assert_allclose(lv, ref, atol=1e-13)
+
+
+def _direct_liouvillian(p: SystemParams, cutoff: FockCutoff) -> np.ndarray:
+    """The cascaded generator as one dense lindblad(h, jumps) call, written out
+    term by term as build_liouvillian assembled it before its terms were cached."""
+    a, sm = composite_operators(cutoff)
+    ad, sp = a.conj().T, sm.conj().T
+    e = p.e_field
+    h = p.delta_c * (ad @ a) + p.delta_a * (sp @ sm)
+    h = h + 0.5j * (e.conjugate() * (a @ a) - e * (ad @ ad))
+    h = h + 1j * (p.omega_c * a + p.omega_a * sm) - 1j * (p.omega_c * ad + p.omega_a * sp)
+    phase = cmath.rect(1.0, math.remainder(p.x_phase, math.tau))
+    root = math.sqrt(p.kappa * p.gamma)
+    h = h - 0.5j * root * (phase * (sp @ a) - phase.conjugate() * (ad @ sm))
+    h = h - 0.5j * p.chi * root * (phase * (ad @ sm) - phase.conjugate() * (sp @ a))
+    jumps = [math.sqrt(p.gamma) * sm + phase * math.sqrt(p.kappa) * a]
+    if p.chi > 0:
+        jumps.append(math.sqrt(p.chi * p.kappa) * a + phase * math.sqrt(p.chi * p.gamma) * sm)
+    return lindblad(h, jumps)
+
+
+def _maybe_zero(strategy):
+    return st.just(0.0) | strategy
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chi=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    x_phase=st.sampled_from([0.0, 0.5, 2.5, 7.0]),
+    gamma=_maybe_zero(st.floats(0.05, 4.0)),
+    detunings=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    drives=_maybe_zero(st.floats(0.001, 0.2)).flatmap(
+        lambda omega: st.tuples(st.just(omega), _maybe_zero(st.floats(0.001, 0.2)))
+    ),
+    pump=st.tuples(_maybe_zero(st.floats(1e-5, 0.05)), st.floats(-math.pi, math.pi)),
+    n_max=st.integers(2, 12),
+)
+def test_cached_terms_match_the_direct_lindblad_form(
+    chi, x_phase, gamma, detunings, drives, pump, n_max
+):
+    p = SystemParams(
+        gamma=gamma, chi=chi, x_phase=x_phase, delta_c=detunings[0], delta_a=detunings[1],
+        omega_c=drives[0], omega_a=drives[1], e_mag=pump[0], phi_d=pump[1],
+    )
+    cutoff = FockCutoff(n_max)
+    reference = _direct_liouvillian(p, cutoff)
+    lv = build_liouvillian(p, cutoff).toarray()
+    assert np.abs(lv - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+# Writes a returned generator may see: each must leave the cached terms alone.
+def _scramble_then_sort(lv):
+    for row in range(lv.shape[0]):
+        span = slice(lv.indptr[row], lv.indptr[row + 1])
+        lv.indices[span] = lv.indices[span][::-1]
+        lv.data[span] = lv.data[span][::-1]
+    lv.has_sorted_indices = False
+    lv.sort_indices()
+
+
+def _write_data(lv):
+    lv.data[:] = 7.0
+
+
+GENERATOR_WRITES = {
+    "eliminate_zeros": lambda lv: lv.eliminate_zeros(),
+    "sort_indices": _scramble_then_sort,
+    "write_data": _write_data,
+}
+
+
+@pytest.mark.parametrize("write", GENERATOR_WRITES.values(), ids=GENERATOR_WRITES.keys())
+def test_writing_into_a_generator_leaves_the_next_build_unchanged(write):
+    # x_phase = 0 leaves the Im Gamma_as block unweighted: explicit zeros to eliminate
+    p = SystemParams(gamma=0.7, chi=0.4, delta_c=0.3, omega_c=0.05, e_mag=1e-3)
+    first = build_liouvillian(p, CUTOFF)
+    expected = first.toarray().tobytes()
+    stored = first.nnz
+    write(first)
+    second = build_liouvillian(p, CUTOFF)
+    assert second.nnz == stored
+    assert second.toarray().tobytes() == expected
+    for name in ("data", "indices", "indptr"):
+        assert not np.shares_memory(getattr(first, name), getattr(second, name))
+
+
+def test_eliminate_zeros_has_zeros_to_remove():
+    # the write above is only a check if the generator stores explicit zeros
+    lv = build_liouvillian(SystemParams(gamma=0.7, chi=0.4, delta_c=0.3, omega_c=0.05), CUTOFF)
+    stored = lv.nnz
+    lv.eliminate_zeros()
+    assert lv.nnz < stored
+
+
+def test_hamiltonian_is_the_direct_form_without_the_exchange():
+    p = SystemParams(gamma=1.3, chi=0.3, delta_c=0.4, delta_a=-0.7, omega_c=0.05,
+                     omega_a=0.02, e_mag=3e-3, phi_d=2.1, x_phase=0.5)
+    a, sm = composite_operators(CUTOFF)
+    ad, sp = a.conj().T, sm.conj().T
+    e = p.e_field
+    direct = p.delta_c * (ad @ a) + p.delta_a * (sp @ sm)
+    direct = direct + 0.5j * (e.conjugate() * (a @ a) - e * (ad @ ad))
+    direct = direct + 1j * (p.omega_c * (a - ad) + p.omega_a * (sm - sp))
+    np.testing.assert_allclose(build_hamiltonian(p, CUTOFF), direct, rtol=0, atol=1e-15)

@@ -46,15 +46,14 @@ DEFAULT_CUTOFF = 8
 DEFAULT_CONVERGE_CUTOFFS = (4, 6, 8, 12)
 # The largest Fock cutoff a command accepts.  SuperLU's fill grows about as
 # n_max**2.7: at n_max = 40, `point` (a 6724-row generator) fills 2.6 M
-# factor entries and takes about 0.75 s and 140 MiB peak on one x86-64 Xeon
-# core at one BLAS thread, 0.35 s of it for each further point of the same
-# sparsity pattern.
+# factor entries and takes about 0.6 s and 136 MiB peak on one x86-64 Xeon
+# core at one BLAS thread.
 MAX_CUTOFF = 40
 # The most points a sweep accepts.  Every point's parameters are resolved
 # before the first solve, about 0.9 KiB each: at 100 000 points a five-state
 # sweep takes about 14 s and 87 MiB above the interpreter's baseline on one
 # x86-64 Xeon core at one BLAS thread, while the full engine at the default
-# cutoff needs about 6 ms a point, 10 minutes in all.
+# cutoff needs about 7 ms a point, 12 minutes in all.
 MAX_SWEEP_POINTS = 100_000
 BATCH_POINTS = 1024
 

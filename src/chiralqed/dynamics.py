@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import collections
-import hashlib
 import math
-import threading
 
 import numpy as np
 import scipy.linalg
@@ -18,14 +15,6 @@ EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 MAX_DIAGNOSIS_DIM = 2500
-MAX_ORDERINGS = 16
-# SuperLU in symmetric mode: a fill-reducing ordering of A + A^T is applied
-# to rows and columns alike, and the diagonal is the preferred pivot.
-# diag_pivot_thresh stays at its default of 1.0, so pivoting stays partial.
-_SYMMETRIC = {"SymmetricMode": True}
-# Orderings of the sparse solve by digest of the pattern, least recently used first.
-_orderings: collections.OrderedDict[bytes, tuple[np.ndarray, ...]] = collections.OrderedDict()
-_orderings_lock = threading.Lock()
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -113,53 +102,14 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
     return vh[-1].conj()
 
 
-def _ordering(matrix) -> tuple[np.ndarray, ...]:
-    """Symmetric minimum-degree ordering of a canonical CSC matrix A, as
-    (perm, order, indptr, indices): entry (i, j) of A sits at
-    (perm[i], perm[j]) of P^T A P, whose CSC form has the values
-    A.data[order] on (indptr, indices).
-
-    The ordering is SuperLU's MMD_AT_PLUS_A, postordered by SuperLU itself.
-    It depends on the pattern only, so it is computed once per exact
-    pattern, by one factorisation that is freed at once, and kept in a
-    cache of MAX_ORDERINGS patterns keyed by a digest of shape, indptr and
-    indices.
-    """
-    digest = hashlib.blake2b(digest_size=32)
-    for part in (np.array(matrix.shape), matrix.indptr, matrix.indices):
-        digest.update(np.ascontiguousarray(part).tobytes())
-    key = digest.digest()
-    with _orderings_lock:
-        if key in _orderings:
-            _orderings.move_to_end(key)
-            return _orderings[key]
-    # perm_c is a view into the factorisation; the copy lets it be freed here.
-    factors = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A", options=_SYMMETRIC)
-    perm = factors.perm_c.copy()
-    del factors
-    size = matrix.shape[1]
-    rows = perm[matrix.indices]
-    cols = perm[np.repeat(np.arange(size), np.diff(matrix.indptr))]
-    order = np.lexsort((rows, cols))
-    indptr = np.zeros(size + 1, dtype=matrix.indptr.dtype)
-    np.cumsum(np.bincount(cols, minlength=size), out=indptr[1:])
-    entry = (perm, order.astype(perm.dtype), indptr, rows[order].astype(matrix.indices.dtype))
-    for array in entry:
-        array.flags.writeable = False
-    with _orderings_lock:
-        _orderings[key] = entry
-        if len(_orderings) > MAX_ORDERINGS:
-            _orderings.popitem(last=False)
-    return entry
-
-
 def _solve_sparse(constrained, rhs: np.ndarray) -> np.ndarray:
     """SuperLU solutions of the sparse system, one per column of rhs, the
     first refined once on the same factors; NaN if it is singular.
 
-    The system is factorised as P^T A P with the cached ordering of its
-    pattern (see _ordering) and no further column ordering, so a solution
-    depends on A alone, not on what was solved before.
+    The ordering is SuperLU's minimum degree on the pattern of A + A^T in
+    symmetric mode (MMD_AT_PLUS_A), applied to rows and columns alike with
+    the diagonal as the preferred pivot; diag_pivot_thresh stays at its
+    default of 1.0, so pivoting stays partial.
     """
     # Imported here so that the dense five-state path does not load it
     # (1.3 MiB of resident memory).
@@ -167,29 +117,19 @@ def _solve_sparse(constrained, rhs: np.ndarray) -> np.ndarray:
 
     constrained = constrained.tocsc()
     constrained.eliminate_zeros()
-    constrained.sum_duplicates()
     # A structurally singular system (no full matching of rows to nonzero
     # columns) is exactly singular.  SuperLU reports that too, but on some
     # such inputs only after OpenBLAS has printed illegal-argument messages
     # to stdout.
     if structural_rank(constrained) == constrained.shape[0]:
         try:
-            perm, order, indptr, indices = _ordering(constrained)
-            permuted = scipy.sparse.csc_array(
-                (constrained.data[order], indices, indptr), shape=constrained.shape
-            )
-            factors = scipy.sparse.linalg.splu(permuted, permc_spec="NATURAL", options=_SYMMETRIC)
+            solve = scipy.sparse.linalg.splu(
+                constrained, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+            ).solve
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
         else:
-            del permuted
-
-            def solve(column: np.ndarray) -> np.ndarray:
-                permuted_column = np.empty_like(column)
-                permuted_column[perm] = column
-                return factors.solve(permuted_column)[perm]
-
             x = np.stack([solve(column) for column in rhs.T], axis=-1)
             x[:, 0] += solve(rhs[:, 0] - constrained @ x[:, 0])
             return x
@@ -214,15 +154,13 @@ def steady_state(lv) -> np.ndarray:
     (P, d2, d2) stack whose P states come back as a (P, D, D) stack.  One
     row of each generator is replaced by the trace constraint and the
     system solved directly: a sparse one with SuperLU under a symmetric
-    minimum-degree ordering computed once per sparsity pattern (so the
-    state depends on lv alone, not on earlier solves), never densified
-    except by the degeneracy diagnosis; a dense stack with one batched
-    LAPACK solve.  Uniqueness is then probed with one inverse-iteration
-    step, a second right-hand side of the same solve: a second independent
-    null vector (tolerance 1e-8 relative to the generator's scale) raises
-    DegenerateSteadyStateError, as does an exactly singular system whose
-    singular-value diagnosis, run member by member, finds more than one
-    null direction.
+    minimum-degree ordering, never densified except by the degeneracy
+    diagnosis; a dense stack with one batched LAPACK solve.  Uniqueness is
+    then probed with one inverse-iteration step, a second right-hand side of
+    the same solve: a second independent null vector (tolerance 1e-8
+    relative to the generator's scale) raises DegenerateSteadyStateError, as
+    does an exactly singular system whose singular-value diagnosis, run
+    member by member, finds more than one null direction.
     """
     sparse = scipy.sparse.issparse(lv)
     lv = scipy.sparse.csr_array(lv, dtype=complex) if sparse else np.asarray(lv, dtype=complex)

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import hashlib
 import subprocess
@@ -112,14 +111,6 @@ def test_degeneracy_detected_on_sparse_and_dense_paths():
             steady_state(form)
 
 
-def test_structurally_singular_system_is_never_ordered(monkeypatch):
-    monkeypatch.setattr(dynamics, "_orderings", collections.OrderedDict())
-    lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(8))
-    with pytest.raises(DegenerateSteadyStateError, match="null-space dimension 4"):
-        steady_state(lv)
-    assert not dynamics._orderings
-
-
 def test_exactly_singular_factor_goes_to_diagnosis():
     # structurally nonsingular, so SuperLU runs and reports an exact zero pivot
     lv = np.array(
@@ -140,20 +131,15 @@ def test_degeneracy_diagnosis_refuses_large_generators():
 HISTORY_CUTOFF = FockCutoff(6)
 
 
-def test_steady_state_does_not_depend_on_earlier_solves(monkeypatch):
+def test_steady_state_does_not_depend_on_earlier_solves():
     lv = build_liouvillian(DRIVEN, HISTORY_CUTOFF)
-    monkeypatch.setattr(dynamics, "_orderings", collections.OrderedDict())
-    cold = steady_state(lv).tobytes()
-    # The ordering of the same pattern, now computed from other values ...
-    monkeypatch.setattr(dynamics, "_orderings", collections.OrderedDict())
+    first = steady_state(lv).tobytes()
+    # other values of the same pattern, and other patterns, solved in between
     other = replace(DRIVEN, gamma=2.5, delta_c=-0.8, omega_a=0.01, phi_d=-2.0)
     steady_state(build_liouvillian(other, HISTORY_CUTOFF))
-    # ... and other patterns solved in between.
     for n_max in (3, 4, 5):
         steady_state(build_liouvillian(DRIVEN, FockCutoff(n_max)))
-    assert len(dynamics._orderings) == 4
-    assert steady_state(lv).tobytes() == cold
-    assert len(dynamics._orderings) == 4  # the pattern of lv was found, not added
+    assert steady_state(lv).tobytes() == first
 
 
 def test_steady_state_bytes_match_a_fresh_process():
@@ -173,19 +159,6 @@ def test_steady_state_bytes_match_a_fresh_process():
     assert fresh.returncode == 0, fresh.stderr
     here = steady_state(build_liouvillian(DRIVEN, HISTORY_CUTOFF))
     assert fresh.stdout.strip() == hashlib.sha256(here.tobytes()).hexdigest()
-
-
-def test_ordering_cache_stays_bounded(monkeypatch):
-    monkeypatch.setattr(dynamics, "_orderings", collections.OrderedDict())
-    monkeypatch.setattr(dynamics, "MAX_ORDERINGS", 2)
-    first = build_liouvillian(DRIVEN, FockCutoff(2))
-    before = steady_state(first).tobytes()
-    for n_max in (3, 4, 5):
-        steady_state(build_liouvillian(DRIVEN, FockCutoff(n_max)))
-        assert len(dynamics._orderings) <= 2
-    # evicted, so ordered afresh, to the same bytes
-    assert steady_state(first).tobytes() == before
-    assert len(dynamics._orderings) == 2
 
 
 FIVE_STATE = [

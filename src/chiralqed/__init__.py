@@ -28,7 +28,14 @@ from .dynamics import (
     steady_state,
 )
 from .fock_algebra import BasisLabel, FockCutoff, composite_operators
-from .model import DerivedParams, SystemParams, build_hamiltonian, build_liouvillian, derive
+from .model import (
+    DerivedParams,
+    SystemParams,
+    build_hamiltonian,
+    build_liouvillian,
+    build_undriven_liouvillian,
+    derive,
+)
 from .observables import ObservableSet, collect, g2_zero, mean_photon_number, population, purity
 from .truncated_oracle import (
     TruncatedParams,
@@ -57,6 +64,7 @@ __all__ = [
     "basis_change_matrix",
     "build_hamiltonian",
     "build_liouvillian",
+    "build_undriven_liouvillian",
     "collect",
     "collective_jump_operators",
     "collective_rates",

@@ -36,7 +36,7 @@ from .dynamics import (
     steady_state,
 )
 from .fock_algebra import FockCutoff, composite_operators
-from .model import SystemParams, build_liouvillian, derive
+from .model import SystemParams, build_liouvillian, build_undriven_liouvillian, derive
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,10 +44,12 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_CUTOFF = 8
 DEFAULT_CONVERGE_CUTOFFS = (4, 6, 8, 12)
-# The largest Fock cutoff a command accepts.  SuperLU's fill grows about as
-# n_max**2.7: at n_max = 40, `point` (a 6724-row generator) fills 2.6 M
-# factor entries and takes about 0.6 s and 136 MiB peak on one x86-64 Xeon
-# core at one BLAS thread.
+# The largest Fock cutoff a command accepts, timed on one x86-64 Xeon core at
+# one BLAS thread for `point` at n_max = 40 (a 6724-row generator).  A weakly
+# driven point factorises only its undriven generator (36 k factor entries)
+# and takes about 0.08 s and 89 MiB peak.  A point that falls back to the
+# driven factors pays SuperLU's fill, which grows about as n_max**2.7: 2.6 M
+# entries and about 0.55 s and 135 MiB peak for the dark point with chi = 1.
 MAX_CUTOFF = 40
 # The most points a sweep accepts.  Every point's parameters are resolved
 # before the first solve, about 0.9 KiB each: at 100 000 points a five-state
@@ -181,7 +183,13 @@ class Engine:
         """
         if self.name == "full":
             params = [p for p, _ in points]
-            rho = np.stack([steady_state(build_liouvillian(p, self.cutoff)) for p in params])
+            rho = np.stack([
+                steady_state(
+                    build_liouvillian(p, self.cutoff),
+                    undriven=build_undriven_liouvillian(p, self.cutoff),
+                )
+                for p in params
+            ])
             return _FullStates(rho, self.cutoff, params)
         tps = []
         for params, overrides in points:

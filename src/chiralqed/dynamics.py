@@ -15,6 +15,15 @@ EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 MAX_DIAGNOSIS_DIM = 2500
+# Refinement of a sparse solve (see _refine and _refine_wide): float64 steps
+# must shrink by CONTRACTION until they are below FLOAT_FLOOR of x;
+# long-double steps end once entries above GRADE_FLOOR of the largest move
+# by at most WIDE_TOL of themselves.
+CONTRACTION = 0.5
+FLOAT_FLOOR = 2.0**-40
+WIDE_TOL = 2.0**-56
+GRADE_FLOOR = 2.0**-20
+MAX_WIDE_STEPS = 12
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -102,9 +111,8 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
     return vh[-1].conj()
 
 
-def _solve_sparse(constrained, rhs: np.ndarray) -> np.ndarray:
-    """SuperLU solutions of the sparse system, one per column of rhs, the
-    first refined once on the same factors; NaN if it is singular.
+def _factorize(system):
+    """SuperLU's solve for a CSC system, or None if the system is exactly singular.
 
     The ordering is SuperLU's minimum degree on the pattern of A + A^T in
     symmetric mode (MMD_AT_PLUS_A), applied to rows and columns alike with
@@ -115,25 +123,114 @@ def _solve_sparse(constrained, rhs: np.ndarray) -> np.ndarray:
     # (1.3 MiB of resident memory).
     from scipy.sparse.csgraph import structural_rank
 
-    constrained = constrained.tocsc()
-    constrained.eliminate_zeros()
     # A structurally singular system (no full matching of rows to nonzero
     # columns) is exactly singular.  SuperLU reports that too, but on some
     # such inputs only after OpenBLAS has printed illegal-argument messages
     # to stdout.
-    if structural_rank(constrained) == constrained.shape[0]:
-        try:
-            solve = scipy.sparse.linalg.splu(
-                constrained, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-            ).solve
-        except RuntimeError as exc:
-            if "singular" not in str(exc):
-                raise
-        else:
-            x = np.stack([solve(column) for column in rhs.T], axis=-1)
-            x[:, 0] += solve(rhs[:, 0] - constrained @ x[:, 0])
-            return x
-    return np.full(rhs.shape, np.nan, dtype=complex)
+    if structural_rank(system) < system.shape[0]:
+        return None
+    try:
+        return scipy.sparse.linalg.splu(
+            system, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+        ).solve
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None
+
+
+def _residual_wide(system, data, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - A x in long double for a CSR system whose values are data."""
+    products = x[system.indices]
+    products *= data
+    # reduceat over the nonempty rows only: an empty row would take the next row's first product
+    rows = np.flatnonzero(np.diff(system.indptr))
+    ax = np.zeros(system.shape[0], dtype=np.clongdouble)
+    ax[rows] = np.add.reduceat(products, system.indptr[rows])
+    return b - ax
+
+
+def _refine(system, solve, b: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """Solve A x = b by the refinement x <- x + F^-1 (b - A x), where solve applies F^-1.
+
+    Each step, in norm relative to x, must be at most CONTRACTION times the
+    one before.  The refinement ends at a step below tol, or at the first
+    step that fails to halve; that step is dropped.  Returns x and whether
+    the steps contracted: true unless a step failed to halve while the
+    steps were still above FLOAT_FLOOR, where the float64 residual is not
+    yet at its rounding noise.
+    """
+    x = solve(b)
+    last = np.inf
+    while True:  # each accepted step at most halves the last, so tol is reached
+        step = solve(b - system @ x)
+        size = np.linalg.norm(step) / np.linalg.norm(x)
+        if not size <= CONTRACTION * last:
+            return x, last <= FLOAT_FLOOR
+        x = x + step
+        last = size
+        if size <= tol:
+            return x, True
+
+
+def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) -> np.ndarray:
+    """Go on refining x with long-double residuals; x is held in long double
+    and rounded once at the end.
+
+    The steps end once no entry of x above GRADE_FLOOR times the largest
+    moves by more than WIDE_TOL of itself, or after MAX_WIDE_STEPS.  On the
+    undriven factors each step settles about one more excitation level of a
+    weakly driven state, so the moves need not shrink from one step to the
+    next.  On the system's own factors the refinement converges in about one
+    step, so a step that fails to halve the one before is rounding noise; it
+    is dropped and ends the refinement.
+    """
+    wide, data = x.astype(np.clongdouble), system.data.astype(np.clongdouble)
+    last = np.inf
+    for _ in range(MAX_WIDE_STEPS):
+        step = solve(_residual_wide(system, data, b, wide).astype(complex))
+        scale = np.maximum(np.abs(x), GRADE_FLOOR * np.abs(x).max())
+        move = np.max(np.abs(step) / scale)
+        if not (undriven or move <= CONTRACTION * last):
+            break
+        wide += step
+        x = wide.astype(complex)
+        if move <= WIDE_TOL:
+            break
+        last = move
+    return x
+
+
+def _solve_sparse(constrained, rhs: np.ndarray, undriven=None) -> np.ndarray:
+    """Refined SuperLU solutions of the sparse system for the two columns of
+    rhs, the trace constraint and the probe; NaN if the system is singular.
+
+    The columns are refined on the factors of the constrained undriven
+    generator when it is given, SuperLU factorises it, and the steps of both
+    columns contract; otherwise on the factors of the system itself, where
+    the refinement converges in a step or two and its result is kept
+    whether or not the steps contract.  The trace column then gets its
+    long-double steps.
+    """
+    b, probe = rhs.T
+    constrained.eliminate_zeros()
+    if undriven is not None:
+        undriven.eliminate_zeros()
+        solve = _factorize(undriven.tocsc())
+        if solve is not None:
+            solution, contracted = _refine(constrained, solve, b, WIDE_TOL)
+            if contracted:
+                candidate, contracted = _refine(constrained, solve, probe, FLOAT_FLOOR)
+            if contracted:
+                solution = _refine_wide(constrained, solve, b, solution, undriven=True)
+                return np.stack([solution, candidate], axis=-1)
+    solve = _factorize(constrained.tocsc())
+    if solve is None:
+        return np.full(rhs.shape, np.nan, dtype=complex)
+    solution, _ = _refine(constrained, solve, b, WIDE_TOL)
+    candidate, _ = _refine(constrained, solve, probe, FLOAT_FLOOR)
+    solution = _refine_wide(constrained, solve, b, solution, undriven=False)
+    return np.stack([solution, candidate], axis=-1)
 
 
 def _solve_dense(constrained: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -147,20 +244,44 @@ def _solve_dense(constrained: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve_dense(c[np.newaxis], rhs) for c in constrained])
 
 
-def steady_state(lv) -> np.ndarray:
+def steady_state(lv, undriven=None) -> np.ndarray:
     """The unique stationary density matrix of a trace-preserving generator.
 
     lv is a scipy.sparse matrix, a dense (d2, d2) array, or a dense
     (P, d2, d2) stack whose P states come back as a (P, D, D) stack.  One
-    row of each generator is replaced by the trace constraint and the
-    system solved directly: a sparse one with SuperLU under a symmetric
-    minimum-degree ordering, never densified except by the degeneracy
-    diagnosis; a dense stack with one batched LAPACK solve.  Uniqueness is
-    then probed with one inverse-iteration step, a second right-hand side of
-    the same solve: a second independent null vector (tolerance 1e-8
-    relative to the generator's scale) raises DegenerateSteadyStateError, as
-    does an exactly singular system whose singular-value diagnosis, run
-    member by member, finds more than one null direction.
+    row of each generator is replaced by the trace constraint.  A dense
+    stack is solved with one batched LAPACK solve.  A sparse system A x = b
+    is solved by the refinement x <- x + F^-1 (b - A x), where F is a
+    SuperLU factorisation under a symmetric minimum-degree ordering; the
+    generator is never densified except by the degeneracy diagnosis.
+
+    undriven, taken only with a sparse lv, is the same point's generator L0
+    without its drives and pair pump (model.build_undriven_liouvillian).
+    L0 is block-triangular in the excitation number, so its trace-constrained
+    form factorises almost without fill.  F is its factors when it is
+    structurally full rank, SuperLU factorises it, and every refinement step
+    is at most half the one before until the steps fall below 2^-40 of x.
+    Otherwise F is the factorisation of A itself, on which the refinement
+    converges in a step or two.  Which factors run is decided by the point
+    alone.  The ratio of successive steps estimates the spectral radius of
+    F^-1 (A - F), which must be below 1 for the refinement to converge; it
+    is an estimate, not a proof that the steady state is unique, and every
+    check below runs on either path.
+
+    Once the float64 steps stop shrinking, the residuals of the trace column
+    are taken in long double, with x held in long double and rounded once at
+    the end.  They go on until no entry of x above 2^-20 of the largest
+    moves by more than 2^-56 of itself, at most 12 steps; on L0's factors
+    each step settles about one more excitation level of a weakly driven
+    state.  Without them the float64 noise of the residual would stay in
+    the small entries that the two-excitation populations read.
+
+    Uniqueness is then probed with one inverse-iteration step, a second
+    right-hand side refined on the same factors: a second independent null
+    vector (tolerance 1e-8 relative to the generator's scale) raises
+    DegenerateSteadyStateError, as does an exactly singular system whose
+    singular-value diagnosis, run member by member, finds more than one null
+    direction.
     """
     sparse = scipy.sparse.issparse(lv)
     lv = scipy.sparse.csr_array(lv, dtype=complex) if sparse else np.asarray(lv, dtype=complex)
@@ -173,11 +294,18 @@ def steady_state(lv) -> np.ndarray:
     rng = np.random.default_rng(20240811)
     probe = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
     rhs = np.stack([np.eye(1, d2, dtype=complex)[0], probe], axis=-1)
+    if undriven is not None and (not sparse or undriven.shape != lv.shape):
+        raise ValueError("undriven is taken only with a sparse lv of the same shape")
     if sparse:
         members = [lv]
         trace_csr = scipy.sparse.csr_array(trace_row[np.newaxis, :])
-        constrained = scipy.sparse.vstack([trace_csr, lv[1:]], format="csr")
-        both = _solve_sparse(constrained, rhs)[np.newaxis]
+
+        def constrain(m):
+            m = scipy.sparse.csr_array(m, dtype=complex)
+            return scipy.sparse.vstack([trace_csr, m[1:]], format="csr")
+
+        preconditioner = None if undriven is None else constrain(undriven)
+        both = _solve_sparse(constrain(lv), rhs, preconditioner)[np.newaxis]
         scale = np.array([scipy.sparse.linalg.norm(lv)])
         apply = lambda vecs: (lv @ vecs.T).T
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse
@@ -284,3 +284,15 @@ def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.
     return scipy.sparse.csr_array(
         (data, terms.indices.copy(), terms.indptr.copy()), shape=terms.shape
     )
+
+
+def build_undriven_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
+    """The generator L0 of the same point without its drives and pair pump.
+
+    L0 is build_liouvillian with omega_c = omega_a = e_mag = 0, from the same
+    cached terms.  It conserves the excitation number on each side of rho
+    and its jumps only lower it, so it is block-triangular and SuperLU
+    factorises it almost without fill; steady_state refines a weakly driven
+    point's state on those factors.
+    """
+    return build_liouvillian(replace(params, omega_c=0.0, omega_a=0.0, e_mag=0.0), cutoff)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,7 @@ import scipy.sparse
 
 from chiralqed import dynamics
 from chiralqed import truncated_oracle as trunc
+from chiralqed.cli import FIGURE_PRESETS
 from chiralqed.dynamics import (
     DegenerateSteadyStateError,
     PositivityError,
@@ -21,7 +23,12 @@ from chiralqed.dynamics import (
     vectorize,
 )
 from chiralqed.fock_algebra import FockCutoff, annihilation
-from chiralqed.model import SystemParams, build_liouvillian, lindblad
+from chiralqed.model import (
+    SystemParams,
+    build_liouvillian,
+    build_undriven_liouvillian,
+    lindblad,
+)
 from chiralqed.observables import g2_zero
 
 from conftest import random_density, subprocess_env
@@ -74,6 +81,11 @@ def test_validate_density_matrix():
 def test_steady_state_shape_check():
     with pytest.raises(ValueError):
         steady_state(np.zeros((5, 5), dtype=complex))
+    lv = build_liouvillian(DRIVEN, CUTOFF)
+    undriven = build_undriven_liouvillian(DRIVEN, CUTOFF)
+    for form, l0 in ((lv.toarray(), undriven), (lv, undriven[1:])):
+        with pytest.raises(ValueError, match="undriven"):
+            steady_state(form, undriven=l0)
 
 
 def test_steady_state_properties():
@@ -131,15 +143,113 @@ def test_degeneracy_diagnosis_refuses_large_generators():
 HISTORY_CUTOFF = FockCutoff(6)
 
 
+def _solve(params, cutoff, with_undriven=True):
+    lv = build_liouvillian(params, cutoff)
+    if not with_undriven:
+        return steady_state(lv)
+    return steady_state(lv, undriven=build_undriven_liouvillian(params, cutoff))
+
+
+# Points whose undriven factors cannot be used: at chi = 1, x_phase = 0 and
+# zero detuning SuperLU finds the constrained L0 exactly singular (undriven,
+# the dark polariton does not decay); at gamma = chi = 0 it is structurally
+# singular (rank 321 of 324 at n_max = 8); at omega = 1 the refinement steps
+# grow instead of contracting.
+L0_SINGULAR = SystemParams(chi=1.0, omega_c=0.05, omega_a=0.05, e_mag=0.01)
+L0_STRUCTURALLY_SINGULAR = SystemParams(gamma=0.0, omega_c=0.05, omega_a=0.05, e_mag=0.01)
+STRONG_DRIVE = SystemParams(chi=0.5, x_phase=0.7, omega_c=1.0, omega_a=1.0)
+
+
+@pytest.fixture
+def factorized(monkeypatch):
+    """(stored entries, factorised?) of each system handed to SuperLU, in order."""
+    calls = []
+    factorize = dynamics._factorize
+
+    def spy(system):
+        solve = factorize(system)
+        calls.append((system.nnz, solve is not None))
+        return solve
+
+    monkeypatch.setattr(dynamics, "_factorize", spy)
+    return calls
+
+
+def _outcome(solve):
+    try:
+        return solve().tobytes()
+    except DegenerateSteadyStateError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "params, l0_factorized",
+    [(L0_SINGULAR, False), (L0_STRUCTURALLY_SINGULAR, False), (STRONG_DRIVE, True)],
+    ids=["l0-exactly-singular", "l0-structurally-singular", "steps-grow"],
+)
+def test_unusable_undriven_factors_fall_back_to_the_driven_ones(factorized, params, l0_factorized):
+    cutoff = FockCutoff(8)
+    with_l0 = _outcome(lambda: _solve(params, cutoff))
+    (l0, l0_done), (driven, driven_done) = factorized
+    assert l0_done == l0_factorized and driven_done
+    # the driven factors ran last, and gave what they give without L0
+    assert driven > l0
+    assert with_l0 == _outcome(lambda: _solve(params, cutoff, with_undriven=False))
+
+
+def _figure_points():
+    """Every 10th grid point of each figure4-figure7 curve."""
+    for name in ("figure4", "figure5", "figure6", "figure7"):
+        preset = FIGURE_PRESETS[name]
+        for curve in preset.curves:
+            for value in preset.sweep.grid()[::10]:
+                yield preset.sweep._at(value, curve.system)[0]
+
+
+def _point_n16_draws(count):
+    """Operating points from the ranges of the point-n16 benchmark inputs."""
+    rng = np.random.default_rng(11)
+    for k in range(count):
+        omega, chi = rng.uniform(0.01, 0.1), float(k % 2)
+        delta_s = rng.uniform(-1.0, 1.0)
+        yield SystemParams(
+            gamma=rng.uniform(0.25, 4.0), chi=chi, delta_c=delta_s + chi, delta_a=delta_s - chi,
+            omega_c=omega, omega_a=omega, e_mag=4.0 * omega**2,
+            phi_d=rng.uniform(-math.pi, math.pi),
+        )
+
+
+@pytest.mark.parametrize(
+    "points, n_max",
+    [(list(_figure_points()), 8), (list(_point_n16_draws(10)), 12)],
+    ids=["figures-cutoff8", "point-n16-draws-cutoff12"],
+)
+def test_undriven_and_driven_factors_give_the_same_state(factorized, points, n_max):
+    cutoff = FockCutoff(n_max)
+    for params in points:
+        factorized.clear()
+        rho = _solve(params, cutoff)
+        assert len(factorized) == 1, params  # only L0 was factorised
+        direct = _solve(params, cutoff, with_undriven=False)
+        assert np.abs(rho - direct).max() <= 1e-15 * np.abs(direct).max(), params
+
+
 def test_steady_state_does_not_depend_on_earlier_solves():
     lv = build_liouvillian(DRIVEN, HISTORY_CUTOFF)
+    undriven = build_undriven_liouvillian(DRIVEN, HISTORY_CUTOFF)
     first = steady_state(lv).tobytes()
-    # other values of the same pattern, and other patterns, solved in between
+    first_on_l0 = steady_state(lv, undriven=undriven).tobytes()
+    # other values of the same pattern, other patterns, and points that fall
+    # back from the undriven factors, solved in between
     other = replace(DRIVEN, gamma=2.5, delta_c=-0.8, omega_a=0.01, phi_d=-2.0)
     steady_state(build_liouvillian(other, HISTORY_CUTOFF))
+    _solve(other, HISTORY_CUTOFF)
     for n_max in (3, 4, 5):
         steady_state(build_liouvillian(DRIVEN, FockCutoff(n_max)))
+    for params in (L0_SINGULAR, STRONG_DRIVE):
+        _solve(params, HISTORY_CUTOFF)
     assert steady_state(lv).tobytes() == first
+    assert steady_state(lv, undriven=undriven).tobytes() == first_on_l0
 
 
 def test_steady_state_bytes_match_a_fresh_process():

@@ -14,6 +14,7 @@ from chiralqed.model import (
     SystemParams,
     build_hamiltonian,
     build_liouvillian,
+    build_undriven_liouvillian,
     derive,
     lindblad,
 )
@@ -215,6 +216,23 @@ def test_liouvillian_matches_cascade_form(chi):
     lv = build_liouvillian(p, CUTOFF).toarray()
     ref = cascade_liouvillian(p, CUTOFF.n_max)
     np.testing.assert_allclose(lv, ref, atol=1e-13)
+
+
+def test_undriven_generator_is_block_triangular_in_excitation_number():
+    """L0 keeps n_p - n_q of each |p><q| and never raises n_p: the structure
+    that lets SuperLU factorise it almost without fill."""
+    p = SystemParams(gamma=0.7, chi=0.4, delta_c=0.3, delta_a=-0.2, omega_c=0.05,
+                     omega_a=0.02, e_mag=0.01, phi_d=0.4, x_phase=0.9)
+    l0 = build_undriven_liouvillian(p, CUTOFF)
+    zeroed = replace(p, omega_c=0.0, omega_a=0.0, e_mag=0.0)
+    assert (l0 != build_liouvillian(zeroed, CUTOFF)).nnz == 0
+    a, sm = composite_operators(CUTOFF)
+    number = np.diag(a.conj().T @ a + sm.conj().T @ sm).real.round().astype(int)
+    ket = np.tile(number, CUTOFF.dim)  # column stacking: index p + D q holds |p><q|
+    bra = np.repeat(number, CUTOFF.dim)
+    rows, cols = l0.nonzero()
+    assert np.array_equal(ket[rows] - bra[rows], ket[cols] - bra[cols])
+    assert np.all(ket[rows] <= ket[cols])
 
 
 def test_undriven_steady_state_is_vacuum():

@@ -36,13 +36,8 @@ from .model import (
     build_undriven_liouvillian,
     derive,
 )
-from .observables import ObservableSet, collect, g2_zero, mean_photon_number, population, purity
-from .truncated_oracle import (
-    TruncatedParams,
-    truncated_liouvillian,
-    truncated_operators,
-    truncated_steady,
-)
+from .observables import g2_zero, mean_photon_number, population, purity
+from .truncated_oracle import TruncatedParams, truncated_liouvillian, truncated_operators
 
 __version__ = "0.1.0"
 
@@ -56,7 +51,6 @@ __all__ = [
     "DegenerateSteadyStateError",
     "DerivedParams",
     "FockCutoff",
-    "ObservableSet",
     "PositivityError",
     "SystemParams",
     "TruncatedParams",
@@ -65,7 +59,6 @@ __all__ = [
     "build_hamiltonian",
     "build_liouvillian",
     "build_undriven_liouvillian",
-    "collect",
     "collective_jump_operators",
     "collective_rates",
     "composite_operators",
@@ -85,5 +78,4 @@ __all__ = [
     "steady_state",
     "truncated_liouvillian",
     "truncated_operators",
-    "truncated_steady",
 ]

@@ -21,7 +21,6 @@ from typing import Iterable
 import numpy as np
 
 from . import collective as coll
-from . import observables as obs
 from . import truncated_oracle as trunc
 from .dark_state import (
     DarkStateError,
@@ -35,8 +34,9 @@ from .dynamics import (
     PositivityError,
     steady_state,
 )
-from .fock_algebra import FockCutoff, composite_operators
+from .fock_algebra import FockCutoff
 from .model import SystemParams, build_liouvillian, build_undriven_liouvillian, derive
+from .observables import OBSERVABLES, FiveStates, FullStates
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,77 +84,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-# ---------------------------------------------------------------------------
-# Observables, read the same way from either engine's steady state
-
-
-def _excited(rho: np.ndarray, sm: np.ndarray) -> np.ndarray:
-    """Population of the atom's excited level, trace(sigma+ sigma rho), per state."""
-    return np.trace(sm.conj().T @ sm @ rho, axis1=-2, axis2=-1).real
-
-
-class _FullStates:
-    """Steady states of the full engine at a Fock cutoff, a (P, D, D) stack."""
-
-    def __init__(self, rho: np.ndarray, cutoff: FockCutoff, params: list[SystemParams]):
-        self.rho = rho
-        self._cutoff = cutoff
-        self._params = params
-
-    @functools.cached_property
-    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
-        return obs.mean_photon_number(self.rho, self._cutoff), obs.g2_zero(self.rho, self._cutoff)
-
-    def excited(self) -> np.ndarray:
-        return _excited(self.rho, composite_operators(self._cutoff)[1])
-
-    def population(self, label: str) -> np.ndarray:
-        # Each point has the gauge of its own rates.
-        return np.array([
-            obs.population(rho, label, coll.from_system(params))
-            for rho, params in zip(self.rho, self._params)
-        ])
-
-
-class _FiveStates:
-    """Steady states of the five-state engine, a (P, 5, 5) collective-basis stack."""
-
-    def __init__(self, rho: np.ndarray, cp: list[coll.CollectiveParams]):
-        self.rho = rho
-        self.cp = cp
-
-    @functools.cached_property
-    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
-        return obs.truncated_cavity_stats(self.rho, self.cp)
-
-    def excited(self) -> np.ndarray:
-        rho_product = coll.collective_to_product(self.rho, self.cp)
-        return _excited(rho_product, coll.product_five_ops()[1])
-
-    def population(self, label: str) -> np.ndarray:
-        return obs.population(self.rho, label)
-
-
-def _collective(label: str):
-    return lambda states: states.population(label)
-
-
-# Observable name -> its (P,) values on a solved stack; g2 is NaN below the
-# mean-photon floor.  |g,0> is the collective ground state "1", so rho_11
-# reads it like the polariton populations.
-OBSERVABLES = {
-    "mean_n": lambda states: states.cavity[0],
-    "g2": lambda states: states.cavity[1],
-    "purity": lambda states: obs.purity(states.rho),
-    "rho_11": _collective("1"),
-    "rho_22": lambda states: states.excited(),
-    "rho_psipsi": _collective("psi"),
-    "rho_phiphi": _collective("phi"),
-    "rho_xixi": _collective("xi"),
-    "rho_zetazeta": _collective("zeta"),
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class Engine:
     """How the CLI solves a point.
@@ -171,10 +100,10 @@ class Engine:
         if self.overrides and self.name != "truncated":
             raise ConfigError("g_chi/gamma_chi overrides need engine=truncated")
 
-    def solve(self, params: SystemParams) -> _FullStates | _FiveStates:
+    def solve(self, params: SystemParams) -> FullStates | FiveStates:
         return self.solve_many([(params, {})])
 
-    def solve_many(self, points) -> _FullStates | _FiveStates:
+    def solve_many(self, points) -> FullStates | FiveStates:
         """Solve (params, overrides) points; a point's overrides go over the engine's.
 
         The five-state engine solves every point in one stack of generators,
@@ -190,7 +119,7 @@ class Engine:
                 )
                 for p in params
             ])
-            return _FullStates(rho, self.cutoff, params)
+            return FullStates(rho, self.cutoff, params)
         tps = []
         for params, overrides in points:
             physical = trunc.from_system(params)
@@ -199,7 +128,7 @@ class Engine:
             except ValueError as exc:
                 raise ConfigError(f"[engine] {exc}") from exc
         rho = steady_state(trunc.truncated_liouvillian(tps))
-        return _FiveStates(rho, [tp.cp for tp in tps])
+        return FiveStates(rho, [tp.cp for tp in tps])
 
     def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:
         states = self.solve(params)

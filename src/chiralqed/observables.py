@@ -2,17 +2,19 @@
 
 Each observable of one (D, D) state is a float.  The functions also take a
 (P, D, D) stack of states and then return a (P,) array; g2 is NaN there
-where it is None for one state.
+where it is None for one state.  `OBSERVABLES` reads them by name from a
+solved stack of either engine, `FullStates` or `FiveStates`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from . import collective as coll
 from .fock_algebra import BasisLabel, FockCutoff, annihilation, composite_operators, label_to_index
+from .model import SystemParams
 
 MEAN_PHOTON_FLOOR = 1e-14
 
@@ -38,34 +40,23 @@ def _ratio(numerator: np.ndarray, n_mean: np.ndarray) -> float | None | np.ndarr
     return g2
 
 
-def _cavity_number_ops(rho: np.ndarray, cutoff: FockCutoff | None):
-    """Pick the cavity operators that match the shape of rho."""
+def _cavity_number_ops(rho: np.ndarray, cutoff: FockCutoff):
+    """The cavity annihilator on rho's space: atom (x) field, or the bare field."""
     dim = rho.shape[-1]
-    if cutoff is not None:
-        if dim != cutoff.dim and dim != cutoff.fock_dim:
-            raise ValueError(f"cutoff dimension {cutoff.dim} does not match rho ({dim})")
-        if dim == cutoff.dim:
-            a, _ = composite_operators(cutoff)
-        else:
-            a = annihilation(cutoff)
-        return a
-    # No cutoff given: infer.  Even dimension means atom (x) field with
-    # fock_dim = dim / 2; a bare field space would have to be passed with an
-    # explicit cutoff to disambiguate, except for the 5-state collective case
-    # handled by the caller.
-    if dim % 2 != 0:
-        raise ValueError("cannot infer the cavity layout from an odd dimension; pass cutoff")
-    nf = dim // 2
-    return np.kron(np.eye(2, dtype=complex), annihilation(nf - 1))
+    if dim == cutoff.dim:
+        return composite_operators(cutoff)[0]
+    if dim == cutoff.fock_dim:
+        return annihilation(cutoff)
+    raise ValueError(f"cutoff dimension {cutoff.dim} does not match rho ({dim})")
 
 
-def mean_photon_number(rho: np.ndarray, cutoff: FockCutoff | None = None) -> float | np.ndarray:
+def mean_photon_number(rho: np.ndarray, cutoff: FockCutoff) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     a = _cavity_number_ops(rho, cutoff)
     return _value(_trace(a.conj().T @ a @ rho))
 
 
-def g2_zero(rho: np.ndarray, cutoff: FockCutoff | None = None) -> float | None | np.ndarray:
+def g2_zero(rho: np.ndarray, cutoff: FockCutoff) -> float | None | np.ndarray:
     """Equal-time second-order coherence of the cavity mode.
 
     Returns None when the mean photon number is below MEAN_PHOTON_FLOOR,
@@ -141,18 +132,78 @@ def truncated_cavity_stats(
     return _value(n_mean), _ratio(pair, n_mean)
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """One steady-state measurement bundle."""
-
-    mean_n: float
-    g2: float | None
-    purity: float
+# ---------------------------------------------------------------------------
+# Observables, read the same way from either engine's steady state
 
 
-def collect(rho: np.ndarray, cutoff: FockCutoff | None = None) -> ObservableSet:
-    return ObservableSet(
-        mean_n=mean_photon_number(rho, cutoff),
-        g2=g2_zero(rho, cutoff),
-        purity=purity(rho),
-    )
+def _excited(rho: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    """Population of the atom's excited level, trace(sigma+ sigma rho), per state."""
+    return np.trace(sm.conj().T @ sm @ rho, axis1=-2, axis2=-1).real
+
+
+class FullStates:
+    """Steady states of the full engine at a Fock cutoff, a (P, D, D) stack."""
+
+    def __init__(self, rho: np.ndarray, cutoff: FockCutoff, params: list[SystemParams]):
+        self.rho = rho
+        self._cutoff = cutoff
+        self._params = params
+
+    @functools.cached_property
+    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
+        return mean_photon_number(self.rho, self._cutoff), g2_zero(self.rho, self._cutoff)
+
+    def excited(self) -> np.ndarray:
+        return _excited(self.rho, composite_operators(self._cutoff)[1])
+
+    def population(self, label: str) -> np.ndarray:
+        """v†ρv of the collective state `label`, per point.
+
+        The product cancels large entries: for rho_psipsi at the README dark
+        point, entries of about 4e-4 sum to 1.3e-10, so the value carries
+        about 4e-10 relative rounding noise.
+        """
+        # Each point has the gauge of its own rates.
+        return np.array([
+            population(rho, label, coll.from_system(params))
+            for rho, params in zip(self.rho, self._params)
+        ])
+
+
+class FiveStates:
+    """Steady states of the five-state engine, a (P, 5, 5) collective-basis stack."""
+
+    def __init__(self, rho: np.ndarray, cp: list[coll.CollectiveParams]):
+        self.rho = rho
+        self.cp = cp
+
+    @functools.cached_property
+    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
+        return truncated_cavity_stats(self.rho, self.cp)
+
+    def excited(self) -> np.ndarray:
+        rho_product = coll.collective_to_product(self.rho, self.cp)
+        return _excited(rho_product, coll.product_five_ops()[1])
+
+    def population(self, label: str) -> np.ndarray:
+        return population(self.rho, label)
+
+
+def _collective(label: str):
+    return lambda states: states.population(label)
+
+
+# Observable name -> its (P,) values on a solved stack; g2 is NaN below the
+# mean-photon floor.  |g,0> is the collective ground state "1", so rho_11
+# reads it like the polariton populations.
+OBSERVABLES = {
+    "mean_n": lambda states: states.cavity[0],
+    "g2": lambda states: states.cavity[1],
+    "purity": lambda states: purity(states.rho),
+    "rho_11": _collective("1"),
+    "rho_22": lambda states: states.excited(),
+    "rho_psipsi": _collective("psi"),
+    "rho_phiphi": _collective("phi"),
+    "rho_xixi": _collective("xi"),
+    "rho_zetazeta": _collective("zeta"),
+}

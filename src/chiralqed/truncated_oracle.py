@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import collective as coll
-from .dynamics import steady_state
 from .model import SystemParams, derive, lindblad
 
 
@@ -119,12 +118,3 @@ def truncated_liouvillian(p: TruncatedParams | list[TruncatedParams]) -> np.ndar
     lv = lindblad(h, [np.sqrt(_column([q.gamma_chi for q in ps])) * bright])
     return lv if isinstance(p, list) else lv[0]
 
-
-def truncated_steady(p: TruncatedParams) -> np.ndarray:
-    """Steady state of the five-state model.
-
-    Raises DegenerateSteadyStateError from `dynamics` when the null space is
-    not one dimensional (e.g. no coupling and no drive, where the dark single
-    state never empties).
-    """
-    return steady_state(truncated_liouvillian(p))

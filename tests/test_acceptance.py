@@ -212,7 +212,7 @@ def test_criterion_6_bright_population_vanishes_on_resonance():
                 omega_a=omega,
             )
             tp = replace(trunc.from_system(base), g_chi=5.0, gamma_chi=2.0)
-            rho5 = trunc.truncated_steady(tp)
+            rho5 = steady_state(trunc.truncated_liouvillian(tp))
             worst = max(worst, float(rho5[1, 1].real))
     ok = worst < 1e-8
     _verdict(
@@ -230,7 +230,7 @@ def test_criterion_7_five_state_model_vs_full_engine():
     iso = coll.embedding_isometry(CUTOFF)
     block = iso.conj().T @ rho @ iso
     rho5 = coll.collective_to_product(
-        trunc.truncated_steady(trunc.from_system(CANONICAL)), cp
+        steady_state(trunc.truncated_liouvillian(trunc.from_system(CANONICAL))), cp
     )
     distance = float(np.linalg.norm(block - rho5))
     populations = np.real(np.diag(rho))
@@ -303,13 +303,13 @@ def test_criterion_8_invariant_suite():
 
     worst_gauge = 0.0
     reference = coll.collective_to_product(
-        trunc.truncated_steady(trunc.from_system(CANONICAL)), cp0
+        steady_state(trunc.truncated_liouvillian(trunc.from_system(CANONICAL))), cp0
     )
     for _ in range(3):
         t = rng.uniform(0.1, 1.4)
         cp = coll.CollectiveParams(cp0.u, cp0.w, math.cos(t), math.sin(t))
         alt = coll.collective_to_product(
-            trunc.truncated_steady(trunc.from_system(CANONICAL, cp)), cp
+            steady_state(trunc.truncated_liouvillian(trunc.from_system(CANONICAL, cp))), cp
         )
         worst_gauge = max(worst_gauge, float(np.linalg.norm(reference - alt)))
 

@@ -18,10 +18,11 @@ from chiralqed import collective as coll
 from chiralqed import observables as obs
 from chiralqed import truncated_oracle as trunc
 from chiralqed import cli
-from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, OBSERVABLES, Engine, main
+from chiralqed.cli import _SYSTEM_KEYS, FIGURE_PRESETS, Engine, main
 from chiralqed.dynamics import steady_state
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
+from chiralqed.observables import OBSERVABLES
 
 from conftest import OUT_OF_RANGE_FIELDS, subprocess_env
 
@@ -114,7 +115,7 @@ def test_rho_22_is_the_atom_excited_level(tmp_path, capsys, engine):
         excited = range(cutoff.fock_dim, cutoff.dim)
     else:
         tp = trunc.from_system(params)
-        rho = coll.collective_to_product(trunc.truncated_steady(tp), tp.cp)
+        rho = coll.collective_to_product(steady_state(trunc.truncated_liouvillian(tp)), tp.cp)
         excited = (3, 4)  # |e,0> and |e,1> in the five-state product order
     assert rho_22 == pytest.approx(sum(rho[i, i].real for i in excited), rel=1e-12)
 
@@ -677,6 +678,13 @@ def test_figure3_matches_the_golden_file(capsys):
     assembled and read out as arrays."""
     assert main(["figure", "figure3"]) == 0
     _assert_matches_golden(capsys.readouterr().out, "figure3.csv")
+
+
+def test_figure7_matches_the_golden_file(capsys):
+    """figure7 against the output written before the observable readers moved
+    into `observables`; its rho_22 column is read by the full-engine reader."""
+    assert main(["figure", "figure7"]) == 0
+    _assert_matches_golden(capsys.readouterr().out, "figure7.csv")
 
 
 @pytest.mark.parametrize(

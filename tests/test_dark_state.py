@@ -7,6 +7,7 @@ import pytest
 
 from chiralqed import dark_state as ds
 from chiralqed import truncated_oracle as trunc
+from chiralqed.dynamics import steady_state
 from chiralqed.model import DerivedParams, SystemParams, derive
 
 SQRT2 = math.sqrt(2.0)
@@ -193,7 +194,7 @@ def test_analytic_mixture_matches_truncated_numerics():
                      omega_c=0.01, omega_a=0.01, e_mag=2e-4,
                      phi_d=-math.pi / 2)
     ana = ds.analytic_dark_rho(p)
-    rho5 = trunc.truncated_steady(trunc.from_system(p))
+    rho5 = steady_state(trunc.truncated_liouvillian(trunc.from_system(p)))
     assert rho5[0, 0].real == pytest.approx(ana.rho_11, abs=1e-9)
     assert rho5[2, 2].real == pytest.approx(ana.rho_phiphi, abs=1e-9)
     assert rho5[0, 2] == pytest.approx(ana.rho_1phi, abs=1e-8)

@@ -167,7 +167,7 @@ def test_double_states_feed_singles_at_tabulated_rates(rng):
 
 def test_undriven_steady_state_is_ground():
     p = SystemParams(gamma=0.8, chi=0.2)
-    rho5 = trunc.truncated_steady(trunc.from_system(p))
+    rho5 = steady_state(trunc.truncated_liouvillian(trunc.from_system(p)))
     expected = np.zeros((5, 5), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(rho5, expected, atol=1e-13)
@@ -177,7 +177,7 @@ def test_undriven_without_coupling_is_degenerate():
     # g_chi = 0 leaves both the ground and the antisymmetric single state dark
     p = SystemParams(gamma=1.0, chi=1.0)
     with pytest.raises(DegenerateSteadyStateError):
-        trunc.truncated_steady(trunc.from_system(p))
+        steady_state(trunc.truncated_liouvillian(trunc.from_system(p)))
 
 
 def test_steady_state_gauge_independent(rng):
@@ -190,10 +190,10 @@ def test_steady_state_gauge_independent(rng):
             u=d.u, w=d.w, alpha=math.cos(t), beta=math.sin(t)
         )
         rho_default = coll.collective_to_product(
-            trunc.truncated_steady(trunc.from_system(GENERIC, default)), default
+            steady_state(trunc.truncated_liouvillian(trunc.from_system(GENERIC, default))), default
         )
         rho_other = coll.collective_to_product(
-            trunc.truncated_steady(trunc.from_system(GENERIC, other)), other
+            steady_state(trunc.truncated_liouvillian(trunc.from_system(GENERIC, other))), other
         )
         assert np.linalg.norm(rho_default - rho_other) < 1e-10
 
@@ -202,7 +202,7 @@ def test_truncated_matches_full_at_weak_driving(dark_point):
     """Five-state steady state against the full solver, compared on the block."""
     cutoff = FockCutoff(8)
     tp = trunc.from_system(dark_point)
-    rho5_prod = coll.collective_to_product(trunc.truncated_steady(tp), tp.cp)
+    rho5_prod = coll.collective_to_product(steady_state(trunc.truncated_liouvillian(tp)), tp.cp)
     rho_full = steady_state(build_liouvillian(dark_point, cutoff))
     iso = coll.embedding_isometry(cutoff)
     block = iso.conj().T @ rho_full @ iso
@@ -211,7 +211,7 @@ def test_truncated_matches_full_at_weak_driving(dark_point):
 
 def test_steady_state_reaches_analytic_dark_mixture(dark_point):
     ana = analytic_dark_rho(dark_point)
-    rho5 = trunc.truncated_steady(trunc.from_system(dark_point))
+    rho5 = steady_state(trunc.truncated_liouvillian(trunc.from_system(dark_point)))
     assert rho5[0, 0].real == pytest.approx(ana.rho_11, abs=1e-9)
     assert rho5[2, 2].real == pytest.approx(ana.rho_phiphi, abs=1e-9)
     assert rho5[0, 2] == pytest.approx(ana.rho_1phi, abs=1e-8)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -16,14 +18,15 @@ DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 MAX_DIAGNOSIS_DIM = 2500
 # Refinement of a sparse solve (see _refine and _refine_wide): float64 steps
-# must shrink by CONTRACTION until they are below FLOAT_FLOOR of x;
-# long-double steps end once entries above GRADE_FLOOR of the largest move
-# by at most WIDE_TOL of themselves.
+# must shrink by CONTRACTION until below FLOAT_FLOOR of x; long-double steps
+# end once entries above GRADE_FLOOR of the largest move by WIDE_TOL or less.
 CONTRACTION = 0.5
 FLOAT_FLOOR = 2.0**-40
 WIDE_TOL = 2.0**-56
 GRADE_FLOOR = 2.0**-20
 MAX_WIDE_STEPS = 12
+MAX_PLANS = 4  # trace-constrained plans kept (_system): L and L0 at two zero masks
+_PLANS: dict = {}
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -84,16 +87,14 @@ def _finalize(candidate: np.ndarray) -> np.ndarray:
 def _diagnose_degeneracy(lv) -> np.ndarray:
     """Full singular-value diagnosis; returns the null vector if unique.
 
-    The generator is densified for the SVD, so the diagnosis is refused
-    above MAX_DIAGNOSIS_DIM rows (n_max = 24 on the full engine, a 95 MiB
-    dense copy) rather than attempting a copy that grows as n_max**4.
+    The generator is densified for the SVD, so the diagnosis is refused above
+    MAX_DIAGNOSIS_DIM rows (n_max = 24 on the full engine, a 95 MiB copy).
     """
     d2 = lv.shape[0]
     if d2 > MAX_DIAGNOSIS_DIM:
         raise DegenerateSteadyStateError(
-            f"trace-constrained generator is singular and its {d2}x{d2} size "
-            f"exceeds the {MAX_DIAGNOSIS_DIM}x{MAX_DIAGNOSIS_DIM} limit of the "
-            "dense degeneracy diagnosis"
+            f"trace-constrained generator is singular and its {d2}x{d2} size exceeds the "
+            f"{MAX_DIAGNOSIS_DIM}x{MAX_DIAGNOSIS_DIM} limit of the dense degeneracy diagnosis"
         )
     if scipy.sparse.issparse(lv):
         lv = lv.toarray()
@@ -105,33 +106,75 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
         )
     if null_count == 0:
         raise DegenerateSteadyStateError(
-            "no steady state found: generator has an empty null space "
-            "at the working tolerance"
+            "no steady state found: generator has an empty null space at the working tolerance"
         )
     return vh[-1].conj()
 
 
-def _factorize(system):
-    """SuperLU's solve for a CSC system, or None if the system is exactly singular.
+class _System(NamedTuple):
+    """A point's trace-constrained system, gathered from lv's values by a cached plan."""
 
-    The ordering is SuperLU's minimum degree on the pattern of A + A^T in
-    symmetric mode (MMD_AT_PLUS_A), applied to rows and columns alike with
-    the diagonal as the preferred pivot; diag_pivot_thresh stays at its
-    default of 1.0, so pivoting stays partial.
-    """
-    # Imported here so that the dense five-state path does not load it
-    # (1.3 MiB of resident memory).
-    from scipy.sparse.csgraph import structural_rank
+    csr: scipy.sparse.csr_array
+    csc: Callable[[], scipy.sparse.csc_array]  # built when SuperLU needs it
+    full_rank: bool  # structurally
+    nnz = property(lambda self: self.csr.nnz)
 
-    # A structurally singular system (no full matching of rows to nonzero
-    # columns) is exactly singular.  SuperLU reports that too, but on some
-    # such inputs only after OpenBLAS has printed illegal-argument messages
-    # to stdout.
-    if structural_rank(system) < system.shape[0]:
+
+@functools.lru_cache(maxsize=MAX_PLANS)
+def _constants(d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trace row and the right-hand sides (trace constraint, seeded probe), read-only."""
+    trace_row = vectorize(np.eye(math.isqrt(d2), dtype=complex))
+    rng = np.random.default_rng(20240811)
+    probe = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    rhs = np.stack([np.eye(1, d2, dtype=complex)[0], probe], axis=-1)
+    trace_row.flags.writeable = rhs.flags.writeable = False
+    return trace_row, rhs
+
+
+def _system(lv) -> _System:
+    """lv's trace-constrained system, gathered from lv.data + [1] by the plan of its
+    CSR pattern and mask of nonzero values; the MAX_PLANS last used plans are kept.
+    A miss builds the system as it always was (trace row on lv[1:], explicit
+    zeros eliminated, then CSC), but on the positions of the values."""
+    lv = scipy.sparse.csr_array(lv, dtype=complex)
+    nonzero = lv.data != 0
+    key = (lv.shape, lv.indices.dtype.str, lv.indptr.tobytes(), lv.indices.tobytes(),
+           np.packbits(nonzero).tobytes())
+    plan = _PLANS.pop(key, None)
+    if plan is None:
+        # Imported here: the dense five-state path does without (1.3 MiB of RSS).
+        from scipy.sparse.csgraph import structural_rank
+        tags = np.where(nonzero, np.arange(1, lv.nnz + 1), 0)  # eliminate_zeros drops lv's zeros
+        tagged = scipy.sparse.csr_array((tags, lv.indices, lv.indptr), shape=lv.shape)
+        trace_row = _constants(lv.shape[0])[0]
+        trace = scipy.sparse.csr_array(np.where(trace_row != 0, lv.nnz + 1, 0)[np.newaxis, :])
+        csr = scipy.sparse.vstack([trace, tagged[1:]], format="csr")
+        csr.eliminate_zeros()
+        csc = csr.tocsc()
+        layouts = [(type(m), (m.data - 1).astype(lv.indices.dtype), m.indices, m.indptr)
+                   for m in (csr, csc)]
+        # A structurally singular system is exactly singular.  SuperLU says so
+        # too, but on some only after OpenBLAS printed errors to stdout.
+        plan = (*layouts, structural_rank(csc) == lv.shape[0])
+        if len(_PLANS) >= MAX_PLANS:
+            del _PLANS[next(iter(_PLANS))]
+        # L and L0 share a pattern, so their keys share its bytes
+        key = next((k[:4] for k in _PLANS if k[:4] == key[:4]), key[:4]) + key[4:]
+    _PLANS[key] = plan
+
+    def gather(form, src, indices, indptr):  # splu sums duplicates in place, so copy indices
+        return form((np.append(lv.data, 1.0)[src], indices.copy(), indptr.copy()), shape=lv.shape)
+
+    return _System(gather(*plan[0]), lambda: gather(*plan[1]), plan[2])
+
+
+def _factorize(system: _System):
+    """SuperLU's solve (MMD_AT_PLUS_A, symmetric mode) of a system; None if exactly singular."""
+    if not system.full_rank:
         return None
     try:
         return scipy.sparse.linalg.splu(
-            system, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+            system.csc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
         ).solve
     except RuntimeError as exc:
         if "singular" not in str(exc):
@@ -139,15 +182,9 @@ def _factorize(system):
         return None
 
 
-def _residual_wide(system, data, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """b - A x in long double for a CSR system whose values are data."""
-    products = x[system.indices]
-    products *= data
-    # reduceat over the nonempty rows only: an empty row would take the next row's first product
-    rows = np.flatnonzero(np.diff(system.indptr))
-    ax = np.zeros(system.shape[0], dtype=np.clongdouble)
-    ax[rows] = np.add.reduceat(products, system.indptr[rows])
-    return b - ax
+def _residual_wide(wide, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - A x, wide and x in np.clongdouble: scipy's CSR product sums each row in long double."""
+    return b - wide @ x
 
 
 def _refine(system, solve, b: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
@@ -174,27 +211,24 @@ def _refine(system, solve, b: np.ndarray, tol: float) -> tuple[np.ndarray, bool]
 
 
 def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) -> np.ndarray:
-    """Go on refining x with long-double residuals; x is held in long double
-    and rounded once at the end.
-
-    The steps end once no entry of x above GRADE_FLOOR times the largest
-    moves by more than WIDE_TOL of itself, or after MAX_WIDE_STEPS.  On the
-    undriven factors each step settles about one more excitation level of a
-    weakly driven state, so the moves need not shrink from one step to the
-    next.  On the system's own factors the refinement converges in about one
-    step, so a step that fails to halve the one before is rounding noise; it
-    is dropped and ends the refinement.
+    """Go on refining x with long-double residuals, on one np.clongdouble copy
+    of the system; x is held in long double and rounded once.  The steps end
+    once no entry of x above GRADE_FLOOR times the largest moves by more than
+    WIDE_TOL of itself, or after MAX_WIDE_STEPS.  On the undriven factors each
+    step settles about one more excitation level, so moves need not shrink;
+    on the system's own, a step that fails to halve is noise and ends them.
     """
-    wide, data = x.astype(np.clongdouble), system.data.astype(np.clongdouble)
+    wide = system.astype(np.clongdouble)
+    x_wide = x.astype(np.clongdouble)
     last = np.inf
     for _ in range(MAX_WIDE_STEPS):
-        step = solve(_residual_wide(system, data, b, wide).astype(complex))
+        step = solve(_residual_wide(wide, b, x_wide).astype(complex))
         scale = np.maximum(np.abs(x), GRADE_FLOOR * np.abs(x).max())
         move = np.max(np.abs(step) / scale)
         if not (undriven or move <= CONTRACTION * last):
             break
-        wide += step
-        x = wide.astype(complex)
+        x_wide += step
+        x = x_wide.astype(complex)
         if move <= WIDE_TOL:
             break
         last = move
@@ -202,35 +236,22 @@ def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) ->
 
 
 def _solve_sparse(constrained, rhs: np.ndarray, undriven=None) -> np.ndarray:
-    """Refined SuperLU solutions of the sparse system for the two columns of
-    rhs, the trace constraint and the probe; NaN if the system is singular.
-
-    The columns are refined on the factors of the constrained undriven
-    generator when it is given, SuperLU factorises it, and the steps of both
-    columns contract; otherwise on the factors of the system itself, where
-    the refinement converges in a step or two and its result is kept
-    whether or not the steps contract.  The trace column then gets its
-    long-double steps.
-    """
-    b, probe = rhs.T
-    constrained.eliminate_zeros()
-    if undriven is not None:
-        undriven.eliminate_zeros()
-        solve = _factorize(undriven.tocsc())
-        if solve is not None:
-            solution, contracted = _refine(constrained, solve, b, WIDE_TOL)
-            if contracted:
-                candidate, contracted = _refine(constrained, solve, probe, FLOAT_FLOOR)
-            if contracted:
-                solution = _refine_wide(constrained, solve, b, solution, undriven=True)
-                return np.stack([solution, candidate], axis=-1)
-    solve = _factorize(constrained.tocsc())
-    if solve is None:
-        return np.full(rhs.shape, np.nan, dtype=complex)
-    solution, _ = _refine(constrained, solve, b, WIDE_TOL)
-    candidate, _ = _refine(constrained, solve, probe, FLOAT_FLOOR)
-    solution = _refine_wide(constrained, solve, b, solution, undriven=False)
-    return np.stack([solution, candidate], axis=-1)
+    """Refined solutions of a constrained _System for the two columns of rhs,
+    the trace constraint and the probe; NaN if the system is singular.  The
+    factors are the undriven system's if it is given, SuperLU factorises it,
+    and the steps of both columns contract; otherwise the system's own."""
+    (b, probe), system = rhs.T, constrained.csr
+    for factors in [m for m in (undriven, constrained) if m is not None]:
+        solve, own = _factorize(factors), factors is constrained
+        if solve is None:
+            continue
+        solution, contracted = _refine(system, solve, b, WIDE_TOL)
+        if contracted or own:
+            candidate, contracted = _refine(system, solve, probe, FLOAT_FLOOR)
+        if contracted or own:
+            solution = _refine_wide(system, solve, b, solution, undriven=not own)
+            return np.stack([solution, candidate], axis=-1)
+    return np.full(rhs.shape, np.nan, dtype=complex)
 
 
 def _solve_dense(constrained: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -248,40 +269,32 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     """The unique stationary density matrix of a trace-preserving generator.
 
     lv is a scipy.sparse matrix, a dense (d2, d2) array, or a dense
-    (P, d2, d2) stack whose P states come back as a (P, D, D) stack.  One
-    row of each generator is replaced by the trace constraint.  A dense
-    stack is solved with one batched LAPACK solve.  A sparse system A x = b
-    is solved by the refinement x <- x + F^-1 (b - A x), where F is a
-    SuperLU factorisation under a symmetric minimum-degree ordering; the
-    generator is never densified except by the degeneracy diagnosis.
+    (P, d2, d2) stack whose P states come back as a (P, D, D) stack.  One row
+    of each generator is replaced by the trace constraint.  A dense stack is
+    solved with one batched LAPACK solve.  A sparse system A x = b, gathered
+    from lv's values by a plan cached per CSR pattern and mask of nonzero
+    values, is solved by the refinement x <- x + F^-1 (b - A x), where F is a
+    SuperLU factorisation under a symmetric minimum-degree ordering.
 
     undriven, taken only with a sparse lv, is the same point's generator L0
-    without its drives and pair pump (model.build_undriven_liouvillian).
-    L0 is block-triangular in the excitation number, so its trace-constrained
-    form factorises almost without fill.  F is its factors when it is
-    structurally full rank, SuperLU factorises it, and every refinement step
-    is at most half the one before until the steps fall below 2^-40 of x.
-    Otherwise F is the factorisation of A itself, on which the refinement
-    converges in a step or two.  Which factors run is decided by the point
-    alone.  The ratio of successive steps estimates the spectral radius of
-    F^-1 (A - F), which must be below 1 for the refinement to converge; it
-    is an estimate, not a proof that the steady state is unique, and every
-    check below runs on either path.
+    without drives and pair pump (model.build_undriven_liouvillian), which
+    is block-triangular in the excitation number and factorises almost
+    without fill.  F is its factors when it is structurally full rank,
+    SuperLU factorises it, and every step is at most half the one before
+    until below 2^-40 of x; otherwise F factorises A.  The point alone
+    decides.  The step ratio estimates the spectral radius of F^-1 (A - F),
+    which must be below 1: an estimate, not a proof of uniqueness.
 
-    Once the float64 steps stop shrinking, the residuals of the trace column
-    are taken in long double, with x held in long double and rounded once at
-    the end.  They go on until no entry of x above 2^-20 of the largest
-    moves by more than 2^-56 of itself, at most 12 steps; on L0's factors
-    each step settles about one more excitation level of a weakly driven
-    state.  Without them the float64 noise of the residual would stay in
-    the small entries that the two-excitation populations read.
+    The trace column then gets residuals from scipy's CSR product in
+    np.clongdouble, with x held in long double and rounded once, until no
+    entry of x above 2^-20 of the largest moves by more than 2^-56 of itself
+    (at most 12 steps); otherwise float64 residual noise would stay in the
+    small entries that two-excitation populations read.
 
-    Uniqueness is then probed with one inverse-iteration step, a second
-    right-hand side refined on the same factors: a second independent null
-    vector (tolerance 1e-8 relative to the generator's scale) raises
-    DegenerateSteadyStateError, as does an exactly singular system whose
-    singular-value diagnosis, run member by member, finds more than one null
-    direction.
+    On every path, uniqueness is probed with one inverse-iteration step on
+    the same factors: a second null vector (1e-8 relative to the generator's
+    scale) raises DegenerateSteadyStateError, as does an exactly singular
+    system whose singular-value diagnosis (member by member) finds several.
     """
     sparse = scipy.sparse.issparse(lv)
     lv = scipy.sparse.csr_array(lv, dtype=complex) if sparse else np.asarray(lv, dtype=complex)
@@ -290,22 +303,13 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     if lv.ndim not in (2, 3) or lv.shape[-2] != d2 or dim * dim != d2:
         raise ValueError(f"expected a D^2 x D^2 superoperator, got {lv.shape}")
 
-    trace_row = vectorize(np.eye(dim, dtype=complex))
-    rng = np.random.default_rng(20240811)
-    probe = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-    rhs = np.stack([np.eye(1, d2, dtype=complex)[0], probe], axis=-1)
     if undriven is not None and (not sparse or undriven.shape != lv.shape):
         raise ValueError("undriven is taken only with a sparse lv of the same shape")
+    trace_row, rhs = _constants(d2)
     if sparse:
-        members = [lv]
-        trace_csr = scipy.sparse.csr_array(trace_row[np.newaxis, :])
-
-        def constrain(m):
-            m = scipy.sparse.csr_array(m, dtype=complex)
-            return scipy.sparse.vstack([trace_csr, m[1:]], format="csr")
-
-        preconditioner = None if undriven is None else constrain(undriven)
-        both = _solve_sparse(constrain(lv), rhs, preconditioner)[np.newaxis]
+        members, system = [lv], _system(lv)
+        preconditioner = None if undriven is None else _system(undriven)
+        both = _solve_sparse(system, rhs, preconditioner)[np.newaxis]
         scale = np.array([scipy.sparse.linalg.norm(lv)])
         apply = lambda vecs: (lv @ vecs.T).T
     else:
@@ -330,10 +334,8 @@ def steady_state(lv, undriven=None) -> np.ndarray:
             )
         solution[k], candidate[k] = null_vec / trace, 0.0
 
-    # Probe for a second null vector with one inverse-iteration step.  A
-    # near-degenerate generator amplifies the second null direction enormously
-    # under the factorized solve, so a deflated candidate with tiny residual
-    # betrays degeneracy even when the direct solve succeeded.
+    # A near-degenerate generator amplifies a second null direction enormously
+    # in the probe's solve: a deflated candidate with tiny residual betrays it.
     primary = solution / np.linalg.norm(solution, axis=-1, keepdims=True)
     overlap = np.sum(primary.conj() * candidate, axis=-1, keepdims=True)
     deflated = candidate - overlap * primary
@@ -356,11 +358,9 @@ def steady_state(lv, undriven=None) -> np.ndarray:
 def evolve(lv, rho0: np.ndarray, t_final: float) -> np.ndarray:
     """Propagate a state to t_final: exp(L t_final) applied to vec(rho0).
 
-    The action of the matrix exponential is computed with
     scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)), so lv may be a dense array or a scipy.sparse
-    matrix and is never exponentiated as a matrix.  The result is
-    re-Hermitized and trace-normalized once, then validated.
+    Comput. 33, 488 (2011)) computes the action, so lv may be dense or
+    sparse; the result is re-Hermitized, trace-normalized and validated.
     """
     if not scipy.sparse.issparse(lv):
         lv = np.asarray(lv, dtype=complex)

@@ -687,6 +687,13 @@ def test_figure7_matches_the_golden_file(capsys):
     _assert_matches_golden(capsys.readouterr().out, "figure7.csv")
 
 
+def test_figure6_matches_the_golden_file(capsys):
+    """figure6 against the output written before the long-double residual
+    moved to scipy's CSR product, which moves some of its cells by rounding."""
+    assert main(["figure", "figure6"]) == 0
+    _assert_matches_golden(capsys.readouterr().out, "figure6.csv")
+
+
 @pytest.mark.parametrize(
     "command, config, golden",
     [

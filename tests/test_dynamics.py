@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from chiralqed import dynamics
 from chiralqed import truncated_oracle as trunc
@@ -269,6 +270,99 @@ def test_steady_state_bytes_match_a_fresh_process():
     assert fresh.returncode == 0, fresh.stderr
     here = steady_state(build_liouvillian(DRIVEN, HISTORY_CUTOFF))
     assert fresh.stdout.strip() == hashlib.sha256(here.tobytes()).hexdigest()
+
+
+
+def _long_double_parts(values):
+    """Each long-double entry as the exact sum of two floats (a 64-bit
+    mantissa fits in two 53-bit ones), real and imaginary parts apart."""
+    parts = []
+    for part in (values.real, values.imag):
+        hi = part.astype(float)
+        parts.append((hi, (part - hi).astype(float)))
+    return parts
+
+
+def test_long_double_residual_is_accurate_to_its_precision():
+    mpmath = pytest.importorskip("mpmath")
+    wide = build_liouvillian(DRIVEN, FockCutoff(2)).astype(np.clongdouble)
+    rng = np.random.default_rng(5)
+    d2 = wide.shape[0]
+    draw = lambda: rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    x = draw().astype(np.clongdouble) + draw().astype(np.clongdouble) * 2.0**-53
+    b = draw()
+    residual = dynamics._residual_wide(wide, b, x)
+    assert residual.dtype == np.clongdouble
+
+    def exact(values):
+        (re_hi, re_lo), (im_hi, im_lo) = _long_double_parts(values)
+        return [
+            mpmath.mpc(mpmath.mpf(r) + mpmath.mpf(r_lo), mpmath.mpf(i) + mpmath.mpf(i_lo))
+            for r, r_lo, i, i_lo in zip(re_hi, re_lo, im_hi, im_lo)
+        ]
+
+    with mpmath.workdps(40):
+        xs, got, entries = exact(x), exact(residual), exact(wide.data)
+        for i in range(d2):
+            row = range(wide.indptr[i], wide.indptr[i + 1])
+            terms = [entries[k] * xs[wide.indices[k]] for k in row]
+            reference = mpmath.mpc(b[i]) - mpmath.fsum(terms)
+            scale = mpmath.fsum(abs(term) for term in terms)
+            assert abs(got[i] - reference) <= mpmath.mpf(2) ** -60 * scale, i
+
+
+def _constrained_as_always(m):
+    """The trace row stacked on m[1:], explicit zeros eliminated, and its CSC form."""
+    dim = math.isqrt(m.shape[0])
+    trace = scipy.sparse.csr_array(vectorize(np.eye(dim, dtype=complex))[np.newaxis, :])
+    csr = scipy.sparse.vstack([trace, scipy.sparse.csr_array(m, dtype=complex)[1:]], format="csr")
+    csr.eliminate_zeros()
+    return csr, csr.tocsc()
+
+
+def _random_generator(rng, dim):
+    """A sparse matrix with some explicit zeros, not built by build_liouvillian."""
+    m = scipy.sparse.random_array((dim * dim, dim * dim), density=0.2, rng=rng, format="csr")
+    m = m + 1j * m.multiply(rng.standard_normal(m.shape)) + scipy.sparse.eye_array(m.shape[0])
+    m = m.tocsr()
+    m.data[::7] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("n_max", [2, 8])
+def test_cached_plan_builds_the_system_as_before(n_max):
+    cutoff = FockCutoff(n_max)
+    generators = [
+        maker(params, cutoff)
+        for params in (DRIVEN, replace(DRIVEN, e_mag=0.0), L0_STRUCTURALLY_SINGULAR)
+        for maker in (build_liouvillian, build_undriven_liouvillian)
+    ]
+    generators.append(_random_generator(np.random.default_rng(n_max), cutoff.dim))
+    # each twice in a row, so that the second reads its plan from the cache
+    for m in [m for m in generators for _ in range(2)]:
+        system = dynamics._system(m)
+        for got, want in zip((system.csr, system.csc()), _constrained_as_always(m)):
+            for name in ("indptr", "indices", "data"):
+                got_array, want_array = getattr(got, name), getattr(want, name)
+                assert got_array.dtype == want_array.dtype
+                assert got_array.tobytes() == want_array.tobytes()
+        assert system.full_rank == (
+            scipy.sparse.csgraph.structural_rank(system.csc()) == m.shape[0]
+        )
+    l0 = dynamics._system(build_undriven_liouvillian(L0_STRUCTURALLY_SINGULAR, cutoff))
+    assert not l0.full_rank and dynamics._factorize(l0) is None
+
+
+def test_steady_state_leaves_its_inputs_alone():
+    cutoff = FockCutoff(6)
+    for params in (DRIVEN, L0_SINGULAR, STRONG_DRIVE):
+        lv = build_liouvillian(params, cutoff)
+        undriven = build_undriven_liouvillian(params, cutoff)
+        before = [(m.data.copy(), m.indices.copy(), m.indptr.copy()) for m in (lv, undriven)]
+        steady_state(lv, undriven=undriven)
+        for m, arrays in zip((lv, undriven), before):
+            for now, then in zip((m.data, m.indices, m.indptr), arrays):
+                assert now.tobytes() == then.tobytes()
 
 
 FIVE_STATE = [

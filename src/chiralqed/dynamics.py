@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -25,8 +25,6 @@ FLOAT_FLOOR = 2.0**-40
 WIDE_TOL = 2.0**-56
 GRADE_FLOOR = 2.0**-20
 MAX_WIDE_STEPS = 12
-MAX_PLANS = 4  # trace-constrained plans kept (_system): L and L0 at two zero masks
-_PLANS: dict = {}
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -112,15 +110,23 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
 
 
 class _System(NamedTuple):
-    """A point's trace-constrained system, gathered from lv's values by a cached plan."""
+    """A point's trace-constrained system: lv with the trace row in place of row 0."""
 
     csr: scipy.sparse.csr_array
-    csc: Callable[[], scipy.sparse.csc_array]  # built when SuperLU needs it
-    full_rank: bool  # structurally
     nnz = property(lambda self: self.csr.nnz)
 
+    def csc(self) -> scipy.sparse.csc_array:
+        return self.csr.tocsc()
 
-@functools.lru_cache(maxsize=MAX_PLANS)
+    @property
+    def full_rank(self) -> bool:
+        """Structurally; if not, the system is exactly singular, which SuperLU
+        says on some systems only after OpenBLAS printed errors to stdout."""
+        from scipy.sparse.csgraph import structural_rank  # not on the dense path: 1.3 MiB
+        return structural_rank(self.csr) == self.csr.shape[0]
+
+
+@functools.lru_cache(maxsize=4)
 def _constants(d2: int) -> tuple[np.ndarray, np.ndarray]:
     """The trace row and the right-hand sides (trace constraint, seeded probe), read-only."""
     trace_row = vectorize(np.eye(math.isqrt(d2), dtype=complex))
@@ -132,40 +138,17 @@ def _constants(d2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _system(lv) -> _System:
-    """lv's trace-constrained system, gathered from lv.data + [1] by the plan of its
-    CSR pattern and mask of nonzero values; the MAX_PLANS last used plans are kept.
-    A miss builds the system as it always was (trace row on lv[1:], explicit
-    zeros eliminated, then CSC), but on the positions of the values."""
+    """lv's trace-constrained system: the trace row's D ones in place of row 0
+    of lv's CSR arrays, in new arrays whose explicit zeros are eliminated."""
     lv = scipy.sparse.csr_array(lv, dtype=complex)
-    nonzero = lv.data != 0
-    key = (lv.shape, lv.indices.dtype.str, lv.indptr.tobytes(), lv.indices.tobytes(),
-           np.packbits(nonzero).tobytes())
-    plan = _PLANS.pop(key, None)
-    if plan is None:
-        # Imported here: the dense five-state path does without (1.3 MiB of RSS).
-        from scipy.sparse.csgraph import structural_rank
-        tags = np.where(nonzero, np.arange(1, lv.nnz + 1), 0)  # eliminate_zeros drops lv's zeros
-        tagged = scipy.sparse.csr_array((tags, lv.indices, lv.indptr), shape=lv.shape)
-        trace_row = _constants(lv.shape[0])[0]
-        trace = scipy.sparse.csr_array(np.where(trace_row != 0, lv.nnz + 1, 0)[np.newaxis, :])
-        csr = scipy.sparse.vstack([trace, tagged[1:]], format="csr")
-        csr.eliminate_zeros()
-        csc = csr.tocsc()
-        layouts = [(type(m), (m.data - 1).astype(lv.indices.dtype), m.indices, m.indptr)
-                   for m in (csr, csc)]
-        # A structurally singular system is exactly singular.  SuperLU says so
-        # too, but on some only after OpenBLAS printed errors to stdout.
-        plan = (*layouts, structural_rank(csc) == lv.shape[0])
-        if len(_PLANS) >= MAX_PLANS:
-            del _PLANS[next(iter(_PLANS))]
-        # L and L0 share a pattern, so their keys share its bytes
-        key = next((k[:4] for k in _PLANS if k[:4] == key[:4]), key[:4]) + key[4:]
-    _PLANS[key] = plan
-
-    def gather(form, src, indices, indptr):  # splu sums duplicates in place, so copy indices
-        return form((np.append(lv.data, 1.0)[src], indices.copy(), indptr.copy()), shape=lv.shape)
-
-    return _System(gather(*plan[0]), lambda: gather(*plan[1]), plan[2])
+    dim, first, index = math.isqrt(lv.shape[0]), lv.indptr[1], lv.indices.dtype
+    csr = scipy.sparse.csr_array((
+        np.concatenate([np.ones(dim, dtype=complex), lv.data[first:]]),
+        np.concatenate([np.arange(0, dim * dim, dim + 1, dtype=index), lv.indices[first:]]),
+        np.concatenate([np.zeros(1, dtype=lv.indptr.dtype), lv.indptr[1:] - first + dim]),
+    ), shape=lv.shape)
+    csr.eliminate_zeros()
+    return _System(csr)
 
 
 def _factorize(system: _System):
@@ -269,12 +252,11 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     """The unique stationary density matrix of a trace-preserving generator.
 
     lv is a scipy.sparse matrix, a dense (d2, d2) array, or a dense
-    (P, d2, d2) stack whose P states come back as a (P, D, D) stack.  One row
-    of each generator is replaced by the trace constraint.  A dense stack is
-    solved with one batched LAPACK solve.  A sparse system A x = b, gathered
-    from lv's values by a plan cached per CSR pattern and mask of nonzero
-    values, is solved by the refinement x <- x + F^-1 (b - A x), where F is a
-    SuperLU factorisation under a symmetric minimum-degree ordering.
+    (P, d2, d2) stack whose P states come back as a (P, D, D) stack.  Row 0
+    of each generator is replaced by the trace row.  A dense stack is solved
+    with one batched LAPACK solve, a sparse system A x = b by the refinement
+    x <- x + F^-1 (b - A x), where F is a SuperLU factorisation under a
+    symmetric minimum-degree ordering.
 
     undriven, taken only with a sparse lv, is the same point's generator L0
     without drives and pair pump (model.build_undriven_liouvillian), which

@@ -694,6 +694,13 @@ def test_figure6_matches_the_golden_file(capsys):
     _assert_matches_golden(capsys.readouterr().out, "figure6.csv")
 
 
+def test_figure5_matches_the_golden_file(capsys):
+    """figure5 against the output written before each trace-constrained system
+    was built by putting the trace row in place of row 0 of the generator."""
+    assert main(["figure", "figure5"]) == 0
+    _assert_matches_golden(capsys.readouterr().out, "figure5.csv")
+
+
 @pytest.mark.parametrize(
     "command, config, golden",
     [

@@ -329,6 +329,26 @@ def _random_generator(rng, dim):
     return m
 
 
+def _unsorted_with_duplicate(m):
+    """m's CSR arrays with each row's column indices reversed and one entry of
+    row 1 stored twice (the copy holds the value 2)."""
+    m = scipy.sparse.csr_array(m, dtype=complex)
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(m.indptr, m.indptr[1:])])
+    at, indices = m.indptr[1], m.indices[order]
+    data, indices = np.insert(m.data[order], at, 2.0), np.insert(indices, at, indices[at])
+    indptr = m.indptr + (np.arange(m.shape[0] + 1) > 1)
+    return scipy.sparse.csr_array((data, indices, indptr), shape=m.shape)
+
+
+def _empty_first_row(m):
+    """m with no stored entry in row 0."""
+    m = scipy.sparse.csr_array(m, dtype=complex)
+    first = m.indptr[1]
+    return scipy.sparse.csr_array(
+        (m.data[first:], m.indices[first:], m.indptr - np.minimum(m.indptr, first)), shape=m.shape
+    )
+
+
 @pytest.mark.parametrize("n_max", [2, 8])
 def test_cached_plan_builds_the_system_as_before(n_max):
     cutoff = FockCutoff(n_max)
@@ -338,7 +358,8 @@ def test_cached_plan_builds_the_system_as_before(n_max):
         for maker in (build_liouvillian, build_undriven_liouvillian)
     ]
     generators.append(_random_generator(np.random.default_rng(n_max), cutoff.dim))
-    # each twice in a row, so that the second reads its plan from the cache
+    generators += [_unsorted_with_duplicate(generators[0]), _empty_first_row(generators[-1])]
+    # each twice in a row: the second build must not depend on the first
     for m in [m for m in generators for _ in range(2)]:
         system = dynamics._system(m)
         for got, want in zip((system.csr, system.csc()), _constrained_as_always(m)):
@@ -351,6 +372,13 @@ def test_cached_plan_builds_the_system_as_before(n_max):
         )
     l0 = dynamics._system(build_undriven_liouvillian(L0_STRUCTURALLY_SINGULAR, cutoff))
     assert not l0.full_rank and dynamics._factorize(l0) is None
+
+
+def test_csc_inputs_give_the_bytes_of_csr_inputs():
+    lv = build_liouvillian(DRIVEN, HISTORY_CUTOFF)
+    l0 = build_undriven_liouvillian(DRIVEN, HISTORY_CUTOFF)
+    on_csc = steady_state(lv.tocsc(), undriven=l0.tocsc())
+    assert on_csc.tobytes() == steady_state(lv, undriven=l0).tobytes()
 
 
 def test_steady_state_leaves_its_inputs_alone():

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+
+from .model import _issparse
+
+if TYPE_CHECKING:  # for annotations; the full engine's code imports scipy itself
+    import scipy.sparse
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -94,9 +96,9 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
             f"trace-constrained generator is singular and its {d2}x{d2} size exceeds the "
             f"{MAX_DIAGNOSIS_DIM}x{MAX_DIAGNOSIS_DIM} limit of the dense degeneracy diagnosis"
         )
-    if scipy.sparse.issparse(lv):
+    if _issparse(lv):
         lv = lv.toarray()
-    u, s, vh = scipy.linalg.svd(lv)
+    u, s, vh = np.linalg.svd(lv)
     null_count = int(np.sum(s < DEGENERACY_TOL * s[0]))
     if null_count >= 2:
         raise DegenerateSteadyStateError(
@@ -140,6 +142,8 @@ def _constants(d2: int) -> tuple[np.ndarray, np.ndarray]:
 def _system(lv) -> _System:
     """lv's trace-constrained system: the trace row's D ones in place of row 0
     of lv's CSR arrays, in new arrays whose explicit zeros are eliminated."""
+    import scipy.sparse
+
     lv = scipy.sparse.csr_array(lv, dtype=complex)
     dim, first, index = math.isqrt(lv.shape[0]), lv.indptr[1], lv.indices.dtype
     csr = scipy.sparse.csr_array((
@@ -155,6 +159,8 @@ def _factorize(system: _System):
     """SuperLU's solve (MMD_AT_PLUS_A, symmetric mode) of a system; None if exactly singular."""
     if not system.full_rank:
         return None
+    import scipy.sparse.linalg
+
     try:
         return scipy.sparse.linalg.splu(
             system.csc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
@@ -278,8 +284,13 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     scale) raises DegenerateSteadyStateError, as does an exactly singular
     system whose singular-value diagnosis (member by member) finds several.
     """
-    sparse = scipy.sparse.issparse(lv)
-    lv = scipy.sparse.csr_array(lv, dtype=complex) if sparse else np.asarray(lv, dtype=complex)
+    sparse = _issparse(lv)
+    if sparse:
+        import scipy.sparse.linalg
+
+        lv = scipy.sparse.csr_array(lv, dtype=complex)
+    else:
+        lv = np.asarray(lv, dtype=complex)
     d2 = lv.shape[-1]
     dim = math.isqrt(d2)
     if lv.ndim not in (2, 3) or lv.shape[-2] != d2 or dim * dim != d2:
@@ -344,12 +355,14 @@ def evolve(lv, rho0: np.ndarray, t_final: float) -> np.ndarray:
     Comput. 33, 488 (2011)) computes the action, so lv may be dense or
     sparse; the result is re-Hermitized, trace-normalized and validated.
     """
-    if not scipy.sparse.issparse(lv):
+    from scipy.sparse.linalg import expm_multiply
+
+    if not _issparse(lv):
         lv = np.asarray(lv, dtype=complex)
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     rho0 = validate_density_matrix(rho0, context="initial state")
     if t_final == 0:
         return rho0.copy()
-    vec = scipy.sparse.linalg.expm_multiply(lv * float(t_final), vectorize(rho0))
+    vec = expm_multiply(lv * float(t_final), vectorize(rho0))
     return validate_density_matrix(_finalize(devectorize(vec)), context="evolved state")

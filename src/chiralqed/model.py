@@ -11,12 +11,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .fock_algebra import FockCutoff, composite_operators
+
+if TYPE_CHECKING:  # for annotations; the full engine's code imports scipy itself
+    import scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return outer.reshape(*outer.shape[:-4], a.shape[-2] * b.shape[-2], -1)
 
 
+def _issparse(x) -> bool:
+    """Whether x is a scipy sparse array or matrix.  scipy is imported only
+    by the full engine's sparse code, so until scipy.sparse is in
+    sys.modules nothing can be one, and the answer is no without importing it."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
+
+
 def lindblad(h, jumps):
     """Generator of -i [h, rho] + sum_c (c rho c+ - 1/2 {c+ c, rho}).
 
@@ -126,8 +138,10 @@ def lindblad(h, jumps):
     (P, D, D), one system per leading index, giving a (P, D^2, D^2) stack.
     """
     dim = h.shape[-1]
-    sparse = scipy.sparse.issparse(h)
+    sparse = _issparse(h)
     if sparse:
+        import scipy.sparse
+
         kron = functools.partial(scipy.sparse.kron, format="csr")
         eye = scipy.sparse.csr_array(np.eye(dim, dtype=complex))
     else:
@@ -229,6 +243,8 @@ def _terms(cutoff: FockCutoff) -> _Terms:
     polarisation: D[a + sigma] - D[a] - D[sigma] is weighted by Re Gamma_as
     and D[a - i sigma] - D[a] - D[sigma] by Im Gamma_as.
     """
+    import scipy.sparse
+
     csr = scipy.sparse.csr_array
     a, sm = (csr(op) for op in composite_operators(cutoff))
     zero = csr(a.shape, dtype=complex)
@@ -275,6 +291,8 @@ def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.
     2 pi reproduce the reference generator entrywise.  The result owns its
     arrays; call .toarray() on it for the dense matrix.
     """
+    import scipy.sparse
+
     terms = _terms(cutoff)
     hamiltonian, rates = _weights(params)
     data = np.zeros(terms.indices.size, dtype=complex)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -253,6 +254,18 @@ def test_steady_state_does_not_depend_on_earlier_solves():
     assert steady_state(lv, undriven=undriven).tobytes() == first_on_l0
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _run_fresh(code: str) -> str:
+    fresh = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(),
+        timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    return fresh.stdout
+
+
 def test_steady_state_bytes_match_a_fresh_process():
     code = (
         "import hashlib\n"
@@ -263,13 +276,8 @@ def test_steady_state_bytes_match_a_fresh_process():
         f"rho = steady_state(build_liouvillian(p, FockCutoff({HISTORY_CUTOFF.n_max})))\n"
         "print(hashlib.sha256(rho.tobytes()).hexdigest())\n"
     )
-    fresh = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(),
-        timeout=120,
-    )
-    assert fresh.returncode == 0, fresh.stderr
     here = steady_state(build_liouvillian(DRIVEN, HISTORY_CUTOFF))
-    assert fresh.stdout.strip() == hashlib.sha256(here.tobytes()).hexdigest()
+    assert _run_fresh(code).strip() == hashlib.sha256(here.tobytes()).hexdigest()
 
 
 
@@ -350,7 +358,7 @@ def _empty_first_row(m):
 
 
 @pytest.mark.parametrize("n_max", [2, 8])
-def test_cached_plan_builds_the_system_as_before(n_max):
+def test_constrained_system_puts_the_trace_row_in_place_of_row_0(n_max):
     cutoff = FockCutoff(n_max)
     generators = [
         maker(params, cutoff)
@@ -448,6 +456,55 @@ def test_fallback_member_matches_its_single_call(monkeypatch):
     np.testing.assert_allclose(rhos[1], np.diag([0.7, 0.3]), atol=1e-15)
     for member, rho in zip(stack, rhos):
         assert steady_state(member).tobytes() == rho.tobytes()
+
+
+def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
+    # the test modules import scipy, so only a fresh interpreter shows which
+    # paths load it: the five-state engine, darkcheck and the dense solve must
+    # not, and each of the full engine's local imports must be in place
+    readme = os.path.join(DATA, "readme.ini")
+    with open(readme, encoding="utf-8") as handle:
+        config = handle.read()
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text(
+        config.replace("engine = full", "engine = truncated").replace("points = 41", "points = 21")
+    )
+
+    def run(command, *args):
+        argv = [command, *args, "--out", str(tmp_path / f"{command}.txt")]
+        return f"assert chiralqed.cli.main({argv!r}) == 0\n"
+
+    preamble = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import chiralqed, chiralqed.cli\n"
+        "from chiralqed.dynamics import evolve, steady_state\n"
+        "from chiralqed.fock_algebra import FockCutoff\n"
+        "from chiralqed.model import SystemParams, build_liouvillian, lindblad\n"
+        f"needs_diagnosis = np.array({NEEDS_DIAGNOSIS.tolist()!r})\n"
+        "diagnosed = lambda rho: np.allclose(rho, np.diag([0.7, 0.3]), atol=1e-15, rtol=0)\n"
+    )
+    five_state = (
+        preamble
+        + run("sweep", "--config", str(sweep))
+        + run("darkcheck", "--config", readme)
+        + "lower = np.array([[0, 1], [0, 0]], dtype=complex)\n"
+        "stack = np.stack([lindblad(0.3 * (lower + lower.T), [lower]), needs_diagnosis])\n"
+        "assert diagnosed(steady_state(stack)[1])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert _run_fresh(five_state).strip() == "[]"
+    lines = (tmp_path / "sweep.txt").read_text().splitlines()
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + 21  # header, points
+    full = (
+        preamble
+        + run("point", "--config", readme)
+        + "rho0 = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)\n"
+        "evolve(build_liouvillian(SystemParams(), FockCutoff(2)).toarray(), rho0, 0.5)\n"
+        "import scipy.sparse\n"
+        "assert diagnosed(steady_state(scipy.sparse.csr_array(needs_diagnosis)))\n"
+    )
+    _run_fresh(full)
 
 
 def test_stacked_input_needs_square_generators():

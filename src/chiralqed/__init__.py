@@ -6,32 +6,22 @@ from .collective import (
     CollectiveParams,
     basis_change_matrix,
     collective_jump_operators,
-    collective_rates,
     default_gauge,
     embedding_isometry,
 )
 from .dark_state import (
-    AnalyticDarkRho,
     DarkReport,
     DarkStateError,
-    analytic_dark_rho,
     dark_conditions_double,
     dark_conditions_single,
     dfs_requirements_double,
     dfs_state_single,
-    interference_rates,
 )
-from .dynamics import (
-    DegenerateSteadyStateError,
-    PositivityError,
-    evolve,
-    steady_state,
-)
+from .dynamics import DegenerateSteadyStateError, PositivityError, steady_state
 from .fock_algebra import BasisLabel, FockCutoff, composite_operators
 from .model import (
     DerivedParams,
     SystemParams,
-    build_hamiltonian,
     build_liouvillian,
     build_undriven_liouvillian,
     derive,
@@ -42,7 +32,6 @@ from .truncated_oracle import TruncatedParams, truncated_liouvillian, truncated_
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticDarkRho",
     "BasisLabel",
     "CollectiveAmplitudes",
     "CollectiveParams",
@@ -54,13 +43,10 @@ __all__ = [
     "PositivityError",
     "SystemParams",
     "TruncatedParams",
-    "analytic_dark_rho",
     "basis_change_matrix",
-    "build_hamiltonian",
     "build_liouvillian",
     "build_undriven_liouvillian",
     "collective_jump_operators",
-    "collective_rates",
     "composite_operators",
     "dark_conditions_double",
     "dark_conditions_single",
@@ -69,9 +55,7 @@ __all__ = [
     "dfs_requirements_double",
     "dfs_state_single",
     "embedding_isometry",
-    "evolve",
     "g2_zero",
-    "interference_rates",
     "mean_photon_number",
     "population",
     "purity",

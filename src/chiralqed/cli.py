@@ -49,7 +49,7 @@ DEFAULT_CONVERGE_CUTOFFS = (4, 6, 8, 12)
 # driven point factorises only its undriven generator (36 k factor entries)
 # and takes about 0.08 s and 83 MiB peak.  A point that falls back to the
 # driven factors pays SuperLU's fill, which grows about as n_max**2.7: 2.6 M
-# entries and about 0.55 s and 131 MiB peak for the dark point with chi = 1.
+# entries and about 0.6 s and 134 MiB peak for the dark point with chi = 1.
 MAX_CUTOFF = 40
 # The most points a sweep accepts.  Every point's parameters are resolved
 # before the first solve, about 0.9 KiB each: at 100 000 points a five-state

@@ -65,22 +65,13 @@ class CollectiveParams:
         if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
             raise ValueError("alpha^2 + beta^2 must equal 1")
 
-    @property
-    def eta(self) -> float:
-        """Overlap driving the bright double state from the bright single state."""
-        return self.alpha * self.u + SQRT2 * self.w * self.beta
-
-    @property
-    def sigma(self) -> float:
-        """Overlap driving the dark double state from the bright single state."""
-        return self.beta * self.u - SQRT2 * self.w * self.alpha
-
 
 def default_gauge(u: float, w: float) -> CollectiveParams:
     """The gauge with u beta = sqrt(2) w alpha.
 
-    It funnels the bright single state into one double state only (sigma = 0),
-    which keeps diagnostics readable; the gauge-independence property guards
+    It funnels the bright single state into one double state only (its
+    overlap beta u - sqrt(2) w alpha with the other vanishes), which keeps
+    diagnostics readable; the gauge-independence property guards
     against accidental reliance on it.
     """
     norm = math.hypot(u, SQRT2 * w)
@@ -158,20 +149,6 @@ def _jump_pair(cp: CollectiveParams) -> np.ndarray:
     bright = unitary.conj().T @ (cp.u * a5 + cp.w * s5) @ unitary
     dark = unitary.conj().T @ (cp.w * a5 - cp.u * s5) @ unitary
     return np.stack((bright, dark))
-
-
-def collective_rates(cp: CollectiveParams, gamma_chi: float) -> dict[str, float]:
-    """Decay rates of the four double-to-single transitions."""
-    if gamma_chi < 0:
-        raise ValueError("gamma_chi must be nonnegative")
-    u, w, al, be = cp.u, cp.w, cp.alpha, cp.beta
-    eta, sg = cp.eta, cp.sigma
-    return {
-        "xi_phi": gamma_chi * (SQRT2 * w * eta - be) ** 2,
-        "xi_psi": 2.0 * u * u * gamma_chi * eta * eta,
-        "zeta_phi": gamma_chi * (SQRT2 * w * sg + al) ** 2,
-        "zeta_psi": 2.0 * u * u * gamma_chi * sg * sg,
-    }
 
 
 def collective_to_product(rho5: np.ndarray, cp: Gauges) -> np.ndarray:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import collective as coll
 from . import truncated_oracle as trunc
 from .collective import CollectiveAmplitudes
 from .model import DerivedParams, SystemParams, derive
@@ -65,14 +64,6 @@ class DarkReport:
     predicted_state: CollectiveAmplitudes
     required_E: complex | None
     condition_flags: dict[str, bool]
-
-
-@dataclass(frozen=True)
-class AnalyticDarkRho:
-    rho_11: float
-    rho_phiphi: float
-    rho_1phi: complex
-    purity: float
 
 
 def dfs_state_single(dp: DerivedParams) -> CollectiveAmplitudes:
@@ -191,55 +182,3 @@ def dark_conditions_double(params: SystemParams) -> DarkReport:
         condition_flags=flags,
     )
 
-
-def analytic_dark_rho(params: SystemParams) -> AnalyticDarkRho:
-    """Closed-form stationary density-matrix elements at the dark conditions.
-
-    Refuses (DarkStateError) unless the balanced-rates, balanced-drives,
-    zero-sum-detuning, and matched-pump flags all hold; the formula is not a
-    controlled approximation away from them.
-    """
-    report = dark_conditions_double(params)
-    needed = ("omega_a_equals_omega_c", "kappa_equals_gamma", "delta_s_zero", "e_matches")
-    failed = [name for name in needed if not report.condition_flags[name]]
-    if failed:
-        raise DarkStateError(
-            "analytic steady state not applicable; failed conditions: "
-            + ", ".join(failed)
-        )
-    dp = derive(params)
-    gd = dp.g_chi * dp.g_chi + dp.delta * dp.delta
-    pumped = 2.0 * params.omega_c**2
-    denom = gd + pumped
-    if denom == 0.0:
-        return AnalyticDarkRho(rho_11=1.0, rho_phiphi=0.0, rho_1phi=0j, purity=1.0)
-    rho_11 = gd / denom
-    rho_phiphi = pumped / denom
-    pf = _phase_factor(dp.delta, dp.g_chi)
-    if pf is None:
-        rho_1phi = 0j
-    else:
-        rho_1phi = (
-            SQRT2 * params.omega_c * math.sqrt(gd) * (pf.conjugate() * (-1j)) / denom
-        )
-    purity = rho_11 * rho_11 + rho_phiphi * rho_phiphi + 2.0 * abs(rho_1phi) ** 2
-    return AnalyticDarkRho(
-        rho_11=rho_11, rho_phiphi=rho_phiphi, rho_1phi=rho_1phi, purity=purity
-    )
-
-
-def interference_rates(
-    params: SystemParams, c1: complex, c_phi: complex
-) -> tuple[complex, complex]:
-    """Growth rates of the two double-excitation amplitudes.
-
-    Each double state fills through two routes: direct pair creation out of
-    the ground amplitude (pump) and a second drive photon on top of c_phi.
-    Both routes share one bracket, so the two rates keep the fixed gauge
-    ratio alpha/beta for any pump, and both vanish together at the balanced
-    pump from dfs_requirements_double.
-    """
-    dp = derive(params)
-    cp = coll.default_gauge(dp.u, dp.w)
-    bracket = params.e_field * complex(c1) + (2.0 * dp.w * params.omega_c) * complex(c_phi)
-    return -(cp.alpha / SQRT2) * bracket, -(cp.beta / SQRT2) * bracket

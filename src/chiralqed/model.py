@@ -202,17 +202,6 @@ def _hermitian_basis(cutoff: FockCutoff) -> tuple[np.ndarray, ...]:
     return tuple(basis)
 
 
-def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
-    """Hermitian generator: detunings, pair pump, and coherent drives.
-
-    The cascaded exchange, the last two weights of the same basis, belongs
-    to the generator and is left out here.
-    """
-    weights, _ = _weights(params)
-    basis = _hermitian_basis(cutoff)
-    return sum(w * b for w, b in zip(weights[:-2], basis[:-2]))
-
-
 @dataclass(frozen=True)
 class _Terms:
     """Fixed generator terms on one shared CSR pattern.

@@ -15,6 +15,14 @@ applies the Hamiltonian and the bright-polariton dissipator to a density
 matrix directly, where ``chiralqed.truncated_oracle`` builds a generator.
 ``index_to_label`` and ``product_to_collective`` invert library maps so the
 tests can check round trips.
+
+The rest are reference implementations that no engine or CLI path runs, so
+they live here rather than in the package: ``build_hamiltonian`` (the
+Hamiltonian alone, from the generator's Hermitian basis), ``devectorize`` and
+``evolve`` (time evolution by ``expm_multiply``), the overlaps ``eta`` and
+``sigma`` and the closed-form ``collective_rates`` of the five-state model,
+and the paper's closed forms ``analytic_dark_rho`` (the dark-state density
+matrix) and ``interference_rates`` (the two double-excitation routes).
 """
 
 from __future__ import annotations
@@ -22,14 +30,23 @@ from __future__ import annotations
 import math
 import os
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from chiralqed import collective as coll
+from chiralqed import dark_state as ds
+from chiralqed import model
 from chiralqed import truncated_oracle as trunc
+from chiralqed.dynamics import _finalize, validate_density_matrix, vectorize
 from chiralqed.fock_algebra import BasisLabel, FockCutoff
-from chiralqed.model import SystemParams
+from chiralqed.model import SystemParams, derive
+
+SQRT2 = math.sqrt(2.0)
 
 
 # The package source of this checkout, for the subprocess tests.
@@ -135,6 +152,131 @@ def project_liouvillian_to_block(lv_full, cp, cutoff) -> np.ndarray:
     to_coll = np.kron(unitary.T, unitary.conj().T)
     from_coll = np.kron(unitary.conj(), unitary)
     return to_coll @ block_product @ from_coll
+
+
+def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
+    """Hermitian generator: detunings, pair pump, and coherent drives.
+
+    The cascaded exchange, the last two weights of the same basis, belongs
+    to the generator and is left out here.
+    """
+    weights, _ = model._weights(params)
+    basis = model._hermitian_basis(cutoff)
+    return sum(w * b for w, b in zip(weights[:-2], basis[:-2]))
+
+
+def devectorize(vec: np.ndarray) -> np.ndarray:
+    """Inverse of chiralqed.dynamics.vectorize."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.ndim != 1:
+        raise ValueError("expected a vector")
+    dim = math.isqrt(vec.size)
+    if dim * dim != vec.size:
+        raise ValueError(f"length {vec.size} is not a perfect square")
+    return vec.reshape((dim, dim), order="F")
+
+
+def evolve(lv, rho0: np.ndarray, t_final: float) -> np.ndarray:
+    """Propagate a state to t_final: exp(L t_final) applied to vec(rho0).
+
+    scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)) computes the action, so lv may be dense or
+    sparse; the result is re-Hermitized, trace-normalized and validated.
+    """
+    if not scipy.sparse.issparse(lv):
+        lv = np.asarray(lv, dtype=complex)
+    if t_final < 0:
+        raise ValueError("t_final must be nonnegative")
+    rho0 = validate_density_matrix(rho0, context="initial state")
+    if t_final == 0:
+        return rho0.copy()
+    vec = expm_multiply(lv * float(t_final), vectorize(rho0))
+    return validate_density_matrix(_finalize(devectorize(vec)), context="evolved state")
+
+
+def eta(cp: coll.CollectiveParams) -> float:
+    """Overlap driving the bright double state from the bright single state."""
+    return cp.alpha * cp.u + SQRT2 * cp.w * cp.beta
+
+
+def sigma(cp: coll.CollectiveParams) -> float:
+    """Overlap driving the dark double state from the bright single state."""
+    return cp.beta * cp.u - SQRT2 * cp.w * cp.alpha
+
+
+def collective_rates(cp: coll.CollectiveParams, gamma_chi: float) -> dict[str, float]:
+    """Decay rates of the four double-to-single transitions."""
+    if gamma_chi < 0:
+        raise ValueError("gamma_chi must be nonnegative")
+    u, w, al, be = cp.u, cp.w, cp.alpha, cp.beta
+    et, sg = eta(cp), sigma(cp)
+    return {
+        "xi_phi": gamma_chi * (SQRT2 * w * et - be) ** 2,
+        "xi_psi": 2.0 * u * u * gamma_chi * et * et,
+        "zeta_phi": gamma_chi * (SQRT2 * w * sg + al) ** 2,
+        "zeta_psi": 2.0 * u * u * gamma_chi * sg * sg,
+    }
+
+
+@dataclass(frozen=True)
+class AnalyticDarkRho:
+    rho_11: float
+    rho_phiphi: float
+    rho_1phi: complex
+    purity: float
+
+
+def analytic_dark_rho(params: SystemParams) -> AnalyticDarkRho:
+    """Closed-form stationary density-matrix elements at the dark conditions.
+
+    Refuses (DarkStateError) unless the balanced-rates, balanced-drives,
+    zero-sum-detuning, and matched-pump flags all hold; the formula is not a
+    controlled approximation away from them.
+    """
+    report = ds.dark_conditions_double(params)
+    needed = ("omega_a_equals_omega_c", "kappa_equals_gamma", "delta_s_zero", "e_matches")
+    failed = [name for name in needed if not report.condition_flags[name]]
+    if failed:
+        raise ds.DarkStateError(
+            "analytic steady state not applicable; failed conditions: "
+            + ", ".join(failed)
+        )
+    dp = derive(params)
+    gd = dp.g_chi * dp.g_chi + dp.delta * dp.delta
+    pumped = 2.0 * params.omega_c**2
+    denom = gd + pumped
+    if denom == 0.0:
+        return AnalyticDarkRho(rho_11=1.0, rho_phiphi=0.0, rho_1phi=0j, purity=1.0)
+    rho_11 = gd / denom
+    rho_phiphi = pumped / denom
+    pf = ds._phase_factor(dp.delta, dp.g_chi)
+    if pf is None:
+        rho_1phi = 0j
+    else:
+        rho_1phi = (
+            SQRT2 * params.omega_c * math.sqrt(gd) * (pf.conjugate() * (-1j)) / denom
+        )
+    purity = rho_11 * rho_11 + rho_phiphi * rho_phiphi + 2.0 * abs(rho_1phi) ** 2
+    return AnalyticDarkRho(
+        rho_11=rho_11, rho_phiphi=rho_phiphi, rho_1phi=rho_1phi, purity=purity
+    )
+
+
+def interference_rates(
+    params: SystemParams, c1: complex, c_phi: complex
+) -> tuple[complex, complex]:
+    """Growth rates of the two double-excitation amplitudes.
+
+    Each double state fills through two routes: direct pair creation out of
+    the ground amplitude (pump) and a second drive photon on top of c_phi.
+    Both routes share one bracket, so the two rates keep the fixed gauge
+    ratio alpha/beta for any pump, and both vanish together at the balanced
+    pump from dfs_requirements_double.
+    """
+    dp = derive(params)
+    cp = coll.default_gauge(dp.u, dp.w)
+    bracket = params.e_field * complex(c1) + (2.0 * dp.w * params.omega_c) * complex(c_phi)
+    return -(cp.alpha / SQRT2) * bracket, -(cp.beta / SQRT2) * bracket
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -18,11 +18,17 @@ import numpy as np
 from chiralqed import collective as coll
 from chiralqed import dark_state as ds
 from chiralqed import truncated_oracle as trunc
-from chiralqed.dynamics import devectorize, steady_state, vectorize
+from chiralqed.dynamics import steady_state, vectorize
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
 from chiralqed.observables import g2_zero, population, purity
-from conftest import project_liouvillian_to_block, random_hermitian
+from conftest import (
+    analytic_dark_rho,
+    devectorize,
+    interference_rates,
+    project_liouvillian_to_block,
+    random_hermitian,
+)
 
 CUTOFF = FockCutoff(8)
 
@@ -58,7 +64,7 @@ def test_criterion_1_interference_point_state():
     cp = coll.from_system(CANONICAL)
     g2 = g2_zero(rho, CUTOFF)
     pur = purity(rho)
-    predicted = ds.analytic_dark_rho(CANONICAL)
+    predicted = analytic_dark_rho(CANONICAL)
     ground = coll.collective_state_vector("1", cp, CUTOFF)
     antisym = coll.collective_state_vector("phi", cp, CUTOFF)
     errs = (
@@ -324,7 +330,7 @@ def test_criterion_8_invariant_suite():
     tuned = replace(
         CANONICAL, e_mag=abs(required), phi_d=cmath.phase(required)
     )
-    rate_xi, rate_zeta = ds.interference_rates(tuned, 1.0 + 0j, ratio)
+    rate_xi, rate_zeta = interference_rates(tuned, 1.0 + 0j, ratio)
 
     lv_zero = build_liouvillian(generic, small)
     periodic = all(

@@ -303,6 +303,20 @@ def test_cutoff_above_the_limit_fails_before_building(tmp_path, capsys, monkeypa
         )
 
 
+def test_symmetric_coupling_dark_point_solves_at_every_cutoff(tmp_path, capsys):
+    # the README point at chi = 1 is near-dark but unique: its second
+    # eigenvalue is -2e-7 at every cutoff, while ||L||_F grows with the cutoff
+    with open(os.path.join(DATA, "readme.ini"), encoding="utf-8") as handle:
+        cfg = _write(tmp_path, handle.read().replace("chi = 0.0", "chi = 1.0"))
+    reports = []
+    for cutoff in ("8", "12", "16", "24"):
+        assert main(["point", "--config", cfg, "--cutoff", cutoff]) == 0
+        reports.append(_values(capsys.readouterr().out))
+    for report in reports[1:]:
+        for name in ("mean_n", "g2", "purity"):
+            assert float(report[name]) == pytest.approx(float(reports[0][name]), rel=1e-12)
+
+
 def test_degenerate_point_prints_no_solver_noise(tmp_path, capfd):
     # at this cutoff SuperLU would print OpenBLAS argument errors to stdout
     cfg = _write(tmp_path, "[system]\ngamma = 0.0\nchi = 0.0\n")

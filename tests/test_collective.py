@@ -10,7 +10,14 @@ from chiralqed import truncated_oracle as trunc
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian, derive
 
-from conftest import product_to_collective, project_liouvillian_to_block, random_density
+from conftest import (
+    collective_rates,
+    eta,
+    product_to_collective,
+    project_liouvillian_to_block,
+    random_density,
+    sigma,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,8 +58,8 @@ def test_default_gauge_selection():
 def test_eta_sigma_combinations(rng):
     for _ in range(5):
         cp = _random_gauge(rng)
-        assert cp.eta == pytest.approx(cp.alpha * cp.u + SQRT2 * cp.w * cp.beta)
-        assert cp.sigma == pytest.approx(cp.beta * cp.u - SQRT2 * cp.w * cp.alpha)
+        assert eta(cp) == pytest.approx(cp.alpha * cp.u + SQRT2 * cp.w * cp.beta)
+        assert sigma(cp) == pytest.approx(cp.beta * cp.u - SQRT2 * cp.w * cp.alpha)
 
 
 def test_from_system_matches_derived():
@@ -104,10 +111,10 @@ def test_bright_operator_matrix(rng):
         bright, _ = coll.collective_jump_operators(cp)
         expected = np.zeros((5, 5), dtype=complex)
         expected[0, 1] = 1.0
-        expected[1, 3] = SQRT2 * cp.u * cp.eta
-        expected[1, 4] = SQRT2 * cp.u * cp.sigma
-        expected[2, 3] = SQRT2 * cp.w * cp.eta - cp.beta
-        expected[2, 4] = SQRT2 * cp.w * cp.sigma + cp.alpha
+        expected[1, 3] = SQRT2 * cp.u * eta(cp)
+        expected[1, 4] = SQRT2 * cp.u * sigma(cp)
+        expected[2, 3] = SQRT2 * cp.w * eta(cp) - cp.beta
+        expected[2, 4] = SQRT2 * cp.w * sigma(cp) + cp.alpha
         np.testing.assert_allclose(bright, expected, atol=1e-14)
 
 
@@ -128,11 +135,11 @@ def test_jump_operators_on_low_states():
 def test_collective_rates_symmetric_aligned_gauge():
     cp = coll.CollectiveParams(u=1 / SQRT2, w=1 / SQRT2, alpha=1.0, beta=0.0)
     gamma_chi = 2.0
-    rates = coll.collective_rates(cp, gamma_chi)
+    rates = collective_rates(cp, gamma_chi)
     assert rates["xi_psi"] == pytest.approx(gamma_chi / 2)
     assert rates["zeta_psi"] == pytest.approx(gamma_chi)
     assert rates["xi_phi"] == pytest.approx(
-        gamma_chi * (SQRT2 * cp.w * cp.eta - cp.beta) ** 2
+        gamma_chi * (SQRT2 * cp.w * eta(cp) - cp.beta) ** 2
     )
 
 
@@ -140,18 +147,18 @@ def test_collective_rates_closed_forms(rng):
     for _ in range(5):
         cp = _random_gauge(rng)
         gamma_chi = float(rng.uniform(0.5, 5.0))
-        rates = coll.collective_rates(cp, gamma_chi)
+        rates = collective_rates(cp, gamma_chi)
         assert rates["xi_phi"] == pytest.approx(
-            gamma_chi * (SQRT2 * cp.w * cp.eta - cp.beta) ** 2, rel=1e-12
+            gamma_chi * (SQRT2 * cp.w * eta(cp) - cp.beta) ** 2, rel=1e-12
         )
         assert rates["xi_psi"] == pytest.approx(
-            gamma_chi * 2 * cp.u ** 2 * cp.eta ** 2, rel=1e-12
+            gamma_chi * 2 * cp.u ** 2 * eta(cp) ** 2, rel=1e-12
         )
         assert rates["zeta_phi"] == pytest.approx(
-            gamma_chi * (SQRT2 * cp.w * cp.sigma + cp.alpha) ** 2, rel=1e-12
+            gamma_chi * (SQRT2 * cp.w * sigma(cp) + cp.alpha) ** 2, rel=1e-12
         )
         assert rates["zeta_psi"] == pytest.approx(
-            gamma_chi * 2 * cp.u ** 2 * cp.sigma ** 2, rel=1e-12
+            gamma_chi * 2 * cp.u ** 2 * sigma(cp) ** 2, rel=1e-12
         )
 
 
@@ -160,7 +167,7 @@ def test_collective_rates_sum_rule(rng):
     for _ in range(5):
         cp = _random_gauge(rng)
         gamma_chi = float(rng.uniform(0.5, 5.0))
-        rates = coll.collective_rates(cp, gamma_chi)
+        rates = collective_rates(cp, gamma_chi)
         bright, _ = coll.collective_jump_operators(cp)
         for state_idx, name in ((3, "xi"), (4, "zeta")):
             vec = np.zeros(5, dtype=complex)
@@ -174,7 +181,7 @@ def test_collective_rates_sum_rule(rng):
 def test_collective_rates_rejects_negative():
     cp = coll.default_gauge(*_weights(1.0))
     with pytest.raises(ValueError):
-        coll.collective_rates(cp, -1.0)
+        collective_rates(cp, -1.0)
 
 
 def test_effective_hamiltonian_hermitian(rng):

@@ -10,6 +10,8 @@ from chiralqed import truncated_oracle as trunc
 from chiralqed.dynamics import steady_state
 from chiralqed.model import DerivedParams, SystemParams, derive
 
+from conftest import analytic_dark_rho, interference_rates
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -179,7 +181,7 @@ def test_conditions_phase_free_point():
 
 
 def test_analytic_mixture_symmetric_point(dark_point):
-    ana = ds.analytic_dark_rho(dark_point)
+    ana = analytic_dark_rho(dark_point)
     gd = 0.5 ** 2  # g^2 + delta^2
     pumped = 2 * 0.01 ** 2
     assert ana.rho_11 == pytest.approx(gd / (gd + pumped), rel=1e-14)
@@ -193,7 +195,7 @@ def test_analytic_mixture_matches_truncated_numerics():
     p = SystemParams(gamma=1.0, chi=1.0, delta_c=1.0, delta_a=-1.0,
                      omega_c=0.01, omega_a=0.01, e_mag=2e-4,
                      phi_d=-math.pi / 2)
-    ana = ds.analytic_dark_rho(p)
+    ana = analytic_dark_rho(p)
     rho5 = steady_state(trunc.truncated_liouvillian(trunc.from_system(p)))
     assert rho5[0, 0].real == pytest.approx(ana.rho_11, abs=1e-9)
     assert rho5[2, 2].real == pytest.approx(ana.rho_phiphi, abs=1e-9)
@@ -202,15 +204,15 @@ def test_analytic_mixture_matches_truncated_numerics():
 
 def test_analytic_mixture_refuses_broken_conditions(dark_point):
     with pytest.raises(ds.DarkStateError):
-        ds.analytic_dark_rho(replace(dark_point, omega_a=0.02))
+        analytic_dark_rho(replace(dark_point, omega_a=0.02))
     with pytest.raises(ds.DarkStateError):
-        ds.analytic_dark_rho(replace(dark_point, gamma=2.0))
+        analytic_dark_rho(replace(dark_point, gamma=2.0))
     with pytest.raises(ds.DarkStateError):
-        ds.analytic_dark_rho(replace(dark_point, e_mag=1e-3))
+        analytic_dark_rho(replace(dark_point, e_mag=1e-3))
 
 
 def test_analytic_mixture_undriven_ground():
-    ana = ds.analytic_dark_rho(SystemParams(gamma=1.0, chi=1.0))
+    ana = analytic_dark_rho(SystemParams(gamma=1.0, chi=1.0))
     assert ana.rho_11 == 1.0
     assert ana.rho_phiphi == 0.0
     assert ana.rho_1phi == 0j
@@ -222,14 +224,14 @@ def test_analytic_mixture_undriven_ground():
 def test_interference_rates_cancel_bitwise(dark_point):
     ratio, required = ds.dfs_requirements_double(dark_point)
     tuned = replace(dark_point, e_mag=abs(required), phi_d=cmath.phase(required))
-    r_xi, r_zeta = ds.interference_rates(tuned, 1.0 + 0j, ratio)
+    r_xi, r_zeta = interference_rates(tuned, 1.0 + 0j, ratio)
     assert r_xi == 0
     assert r_zeta == 0
 
 
 def test_interference_rates_near_zero_at_nominal_pump(dark_point):
     ratio, _ = ds.dfs_requirements_double(dark_point)
-    r_xi, r_zeta = ds.interference_rates(dark_point, 1.0 + 0j, ratio)
+    r_xi, r_zeta = interference_rates(dark_point, 1.0 + 0j, ratio)
     assert abs(r_xi) < 1e-18
     assert abs(r_zeta) < 1e-18
 
@@ -239,7 +241,7 @@ def test_interference_rates_chiral_configuration():
                      omega_c=0.01, omega_a=0.01)
     ratio, required = ds.dfs_requirements_double(p)
     tuned = replace(p, e_mag=abs(required), phi_d=cmath.phase(required))
-    r_xi, r_zeta = ds.interference_rates(tuned, 1.0 + 0j, ratio)
+    r_xi, r_zeta = interference_rates(tuned, 1.0 + 0j, ratio)
     assert abs(r_xi) < 1e-18
     assert abs(r_zeta) < 1e-18
 
@@ -262,7 +264,7 @@ def test_interference_rates_are_hamiltonian_amplitudes(rng):
         )
         c1 = complex(rng.normal(), rng.normal())
         c_phi = complex(rng.normal(), rng.normal())
-        r_xi, r_zeta = ds.interference_rates(p, c1, c_phi)
+        r_xi, r_zeta = interference_rates(p, c1, c_phi)
         h, _ = trunc.truncated_operators(trunc.from_system(p))
         state = np.array([c1, 0.0, c_phi, 0.0, 0.0], dtype=complex)
         hv = h @ state

@@ -18,8 +18,6 @@ from chiralqed.cli import FIGURE_PRESETS
 from chiralqed.dynamics import (
     DegenerateSteadyStateError,
     PositivityError,
-    devectorize,
-    evolve,
     steady_state,
     validate_density_matrix,
     vectorize,
@@ -33,7 +31,7 @@ from chiralqed.model import (
 )
 from chiralqed.observables import g2_zero
 
-from conftest import random_density, subprocess_env
+from conftest import devectorize, evolve, random_density, subprocess_env
 
 CUTOFF = FockCutoff(3)
 
@@ -107,6 +105,15 @@ def test_steady_state_detects_degeneracy():
     lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), CUTOFF)
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(lv)
+    # a driven atom that never decays: its constrained system is structurally
+    # nonsingular and solves, so only the uniqueness probe can refuse it
+    undamped = SystemParams(gamma=0.0, omega_c=0.05, omega_a=0.05, delta_a=0.3, e_mag=0.01)
+    cutoff = FockCutoff(8)
+    lv = build_liouvillian(undamped, cutoff)
+    undriven = build_undriven_liouvillian(undamped, cutoff)
+    for form, l0 in ((lv, None), (lv, undriven), (lv.toarray(), None)):
+        with pytest.raises(DegenerateSteadyStateError, match="found a second null vector"):
+            steady_state(form, undriven=l0)
 
 
 @pytest.mark.parametrize("chi", [0.0, 1.0])
@@ -478,9 +485,8 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
         "import sys\n"
         "import numpy as np\n"
         "import chiralqed, chiralqed.cli\n"
-        "from chiralqed.dynamics import evolve, steady_state\n"
-        "from chiralqed.fock_algebra import FockCutoff\n"
-        "from chiralqed.model import SystemParams, build_liouvillian, lindblad\n"
+        "from chiralqed.dynamics import steady_state\n"
+        "from chiralqed.model import lindblad\n"
         f"needs_diagnosis = np.array({NEEDS_DIAGNOSIS.tolist()!r})\n"
         "diagnosed = lambda rho: np.allclose(rho, np.diag([0.7, 0.3]), atol=1e-15, rtol=0)\n"
     )
@@ -499,9 +505,7 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
     full = (
         preamble
         + run("point", "--config", readme)
-        + "rho0 = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)\n"
-        "evolve(build_liouvillian(SystemParams(), FockCutoff(2)).toarray(), rho0, 0.5)\n"
-        "import scipy.sparse\n"
+        + "import scipy.sparse\n"
         "assert diagnosed(steady_state(scipy.sparse.csr_array(needs_diagnosis)))\n"
     )
     _run_fresh(full)

@@ -8,18 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralqed.dynamics import devectorize, steady_state, vectorize
+from chiralqed.dynamics import steady_state, vectorize
 from chiralqed.fock_algebra import FockCutoff, composite_operators
 from chiralqed.model import (
     SystemParams,
-    build_hamiltonian,
     build_liouvillian,
     build_undriven_liouvillian,
     derive,
     lindblad,
 )
 
-from conftest import OUT_OF_RANGE_FIELDS, cascade_liouvillian, random_density
+from conftest import (
+    OUT_OF_RANGE_FIELDS,
+    build_hamiltonian,
+    cascade_liouvillian,
+    devectorize,
+    random_density,
+)
 
 CUTOFF = FockCutoff(3)
 

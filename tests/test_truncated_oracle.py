@@ -6,17 +6,17 @@ import pytest
 
 from chiralqed import collective as coll
 from chiralqed import truncated_oracle as trunc
-from chiralqed.dark_state import analytic_dark_rho
-from chiralqed.dynamics import (
-    DegenerateSteadyStateError,
-    devectorize,
-    steady_state,
-    vectorize,
-)
+from chiralqed.dynamics import DegenerateSteadyStateError, steady_state, vectorize
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian, derive, lindblad
 
-from conftest import random_density, truncated_rhs
+from conftest import (
+    analytic_dark_rho,
+    collective_rates,
+    devectorize,
+    random_density,
+    truncated_rhs,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -149,7 +149,7 @@ def test_antisymmetric_state_feeds_coherence_only():
 
 def test_double_states_feed_singles_at_tabulated_rates(rng):
     tp = trunc.from_system(GENERIC)
-    rates = coll.collective_rates(tp.cp, tp.gamma_chi)
+    rates = collective_rates(tp.cp, tp.gamma_chi)
     p_xi, p_zeta = rng.uniform(0.2, 0.5, size=2)
     rho = np.diag([1 - p_xi - p_zeta, 0.0, 0.0, p_xi, p_zeta]).astype(complex)
     drho = truncated_rhs(rho, tp)

@@ -51,11 +51,11 @@ DEFAULT_CONVERGE_CUTOFFS = (4, 6, 8, 12)
 # driven factors pays SuperLU's fill, which grows about as n_max**2.7: 2.6 M
 # entries and about 0.6 s and 134 MiB peak for the dark point with chi = 1.
 MAX_CUTOFF = 40
-# The most points a sweep accepts.  Every point's parameters are resolved
-# before the first solve, about 0.9 KiB each: at 100 000 points a five-state
-# sweep takes about 14 s and 87 MiB above the interpreter's baseline on one
-# x86-64 Xeon core at one BLAS thread, while the full engine at the default
-# cutoff needs about 7 ms a point, 12 minutes in all.
+# The most points a sweep accepts.  Every swept value is checked before the
+# first solve: at 100 000 points a five-state sweep takes about 7 s and 45 MiB
+# above the interpreter's baseline on one x86-64 Xeon core at one BLAS
+# thread, while the full engine at the default cutoff needs about 7 ms a
+# point, 12 minutes in all.
 MAX_SWEEP_POINTS = 100_000
 BATCH_POINTS = 1024
 
@@ -100,54 +100,99 @@ class Engine:
         if self.overrides and self.name != "truncated":
             raise ConfigError("g_chi/gamma_chi overrides need engine=truncated")
 
-    def solve(self, params: SystemParams) -> FullStates | FiveStates:
-        return self.solve_many([(params, {})])
+    def solve(
+        self,
+        base: SystemParams,
+        parameter: str | None = None,
+        values: np.ndarray | None = None,
+    ) -> FullStates | FiveStates:
+        """Steady states of base, as a stack of one; or, given a swept parameter
+        and its (P,) values, of base with the parameter at each value, as a
+        stack of P.
 
-    def solve_many(self, points) -> FullStates | FiveStates:
-        """Solve (params, overrides) points; a point's overrides go over the engine's.
-
-        The five-state engine solves every point in one stack of generators,
-        the full engine one sparse generator at a time.  Either way the
-        states come back as one stack, in the order of the points.
+        The five-state engine carries the values as arrays into one stack of
+        generators and one stacked solve, the full engine solves one sparse
+        generator per point.  An invalid value raises the ConfigError of the
+        first one, as a check of each point alone would.
         """
+        system, overrides = ({}, {}) if parameter is None else _swept(base, parameter, values)
         if self.name == "full":
-            params = [p for p, _ in points]
+            points = [base] if parameter is None else [
+                dataclasses.replace(base, **_changes(base, parameter, value)[0])
+                for value in values.tolist()
+            ]
             rho = np.stack([
                 steady_state(
                     build_liouvillian(p, self.cutoff),
                     undriven=build_undriven_liouvillian(p, self.cutoff),
                 )
-                for p in params
+                for p in points
             ])
-            return FullStates(rho, self.cutoff, params)
-        tps = []
-        for params, overrides in points:
-            physical = trunc.from_system(params)
-            try:
-                tps.append(dataclasses.replace(physical, **{**self.overrides, **overrides}))
-            except ValueError as exc:
-                raise ConfigError(f"[engine] {exc}") from exc
-        rho = steady_state(trunc.truncated_liouvillian(tps))
-        return FiveStates(rho, [tp.cp for tp in tps])
+            return FullStates(rho, self.cutoff, points)
+        try:
+            tp = dataclasses.replace(
+                trunc.from_system(base, **system), **{**self.overrides, **overrides}
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[engine] {exc}") from exc
+        rho = steady_state(trunc.truncated_liouvillian(tp))
+        return FiveStates(rho.reshape(-1, *rho.shape[-2:]), tp.cp)
 
     def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:
         states = self.solve(params)
         return {name: float(OBSERVABLES[name](states)[0]) for name in names}
 
 
-def _rows(engine: Engine, points, names: tuple[str, ...]) -> np.ndarray:
-    """One row per (x, params, overrides) point: x, then the named observables.
+def _changes(base: SystemParams, parameter: str, values):
+    """Fields of base and engine overrides that set a swept parameter to
+    values, a float or an array; g_chi is an override."""
+    if parameter == "g_chi":
+        return {}, {"g_chi": values}
+    if parameter == "delta_s":
+        # Move the sum detuning while freezing the difference.
+        delta = derive(base).delta
+        return {"delta_c": values + delta, "delta_a": values - delta}, {}
+    return {parameter: values}, {}
 
-    Points go to the engine BATCH_POINTS at a time, which bounds the memory
-    of a long five-state sweep: about 33 KiB of peak memory per point in a
-    batch (33.4 KiB for 8192 points solved as one batch).
+
+def _swept(base: SystemParams, parameter: str, values: np.ndarray):
+    """_changes of (P,) values, after a check that raises the ConfigError of
+    the first value base cannot take.
+
+    Each field's valid values form an interval, so its extremes over the
+    values decide whether all of them are valid; only an invalid set is
+    checked value by value, to name its first invalid one.
     """
+    system, overrides = _changes(base, parameter, values)
+    try:
+        for extreme in (np.min, np.max) if system else ():
+            dataclasses.replace(base, **{k: float(extreme(v)) for k, v in system.items()})
+    except ValueError:
+        for value in values.tolist():
+            try:
+                dataclasses.replace(base, **_changes(base, parameter, value)[0])
+            except ValueError as exc:
+                raise ConfigError(f"swept value {value}: {exc}") from exc
+    return system, overrides
+
+
+def _rows(
+    engine: Engine, base: SystemParams, parameter: str, values: np.ndarray, names: tuple[str, ...]
+) -> np.ndarray:
+    """One row per swept value: the value, then the named observables.
+
+    Values go to the engine BATCH_POINTS at a time, which bounds the memory
+    of a long five-state sweep: about 23 KiB of peak memory per point in a
+    batch (22.6 KiB for 8192 points solved as one batch).  A longer sweep
+    checks all its values first, so that a bad one fails before any solve.
+    """
+    if len(values) > BATCH_POINTS:
+        _swept(base, parameter, values)
     blocks = []
-    for start in range(0, len(points), BATCH_POINTS):
-        batch = points[start:start + BATCH_POINTS]
-        states = engine.solve_many([(params, overrides) for _, params, overrides in batch])
-        xs = [x for x, _, _ in batch]
-        blocks.append(np.column_stack([xs, *(OBSERVABLES[name](states) for name in names)]))
+    for start in range(0, len(values), BATCH_POINTS):
+        batch = values[start:start + BATCH_POINTS]
+        states = engine.solve(base, parameter, batch)
+        blocks.append(np.column_stack([batch, *(OBSERVABLES[name](states) for name in names)]))
     return np.concatenate(blocks)
 
 
@@ -178,8 +223,8 @@ class Sweep:
                 f"sweep points {self.points} exceed the limit of {MAX_SWEEP_POINTS}"
             )
 
-    def grid(self) -> list[float]:
-        return [float(value) for value in np.linspace(self.lo, self.hi, self.points)]
+    def grid(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.points)
 
     def comments(self, engine: Engine) -> list[str]:
         """The resolved sweep and engine, for the CSV comment header."""
@@ -200,22 +245,7 @@ class Sweep:
             raise ConfigError("g_chi is only sweepable with engine=truncated")
         if self.parameter == "x_phase" and engine.name == "truncated":
             raise ConfigError("x_phase has no truncated-engine counterpart")
-        return _rows(engine, [(x, *self._at(x, base)) for x in self.grid()], names)
-
-    def _at(self, value: float, base: SystemParams) -> tuple[SystemParams, dict[str, float]]:
-        """System and engine overrides at one grid value; g_chi is an override."""
-        if self.parameter == "g_chi":
-            return base, {"g_chi": value}
-        if self.parameter == "delta_s":
-            # Move the sum detuning while freezing the difference.
-            delta = derive(base).delta
-            changes = {"delta_c": value + delta, "delta_a": value - delta}
-        else:
-            changes = {self.parameter: value}
-        try:
-            return dataclasses.replace(base, **changes), {}
-        except ValueError as exc:
-            raise ConfigError(f"swept value {value}: {exc}") from exc
+        return _rows(engine, base, self.parameter, self.grid(), names)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +636,7 @@ def cmd_oracle_compare(args) -> list[str]:
     # dominated by small full-space coherences into the discarded states.
     iso = coll.embedding_isometry(cutoff)
     block = iso.conj().T @ rho_full @ iso
-    distance = float(np.linalg.norm(block - coll.collective_to_product(five.rho[0], five.cp[0])))
+    distance = float(np.linalg.norm(block - coll.collective_to_product(five.rho[0], five.cp)))
     pops = np.real(np.diag(rho_full))
     leaked = float(sum(pop for pop, kept in zip(pops, iso.any(axis=1)) if not kept))
     return _system_comment_lines(params) + [

@@ -66,14 +66,21 @@ class CollectiveParams:
             raise ValueError("alpha^2 + beta^2 must equal 1")
 
 
-def default_gauge(u: float, w: float) -> CollectiveParams:
+def default_gauge(
+    u: float | np.ndarray, w: float | np.ndarray
+) -> CollectiveParams | list[CollectiveParams]:
     """The gauge with u beta = sqrt(2) w alpha.
 
     It funnels the bright single state into one double state only (its
     overlap beta u - sqrt(2) w alpha with the other vanishes), which keeps
     diagnostics readable; the gauge-independence property guards
-    against accidental reliance on it.
+    against accidental reliance on it.  (P,) arrays of weights give a list
+    of P gauges, each distinct pair's built once.
     """
+    if isinstance(u, np.ndarray) or isinstance(w, np.ndarray):
+        pairs = list(zip(*(weights.tolist() for weights in np.broadcast_arrays(u, w))))
+        gauges = {pair: default_gauge(*pair) for pair in dict.fromkeys(pairs)}
+        return [gauges[pair] for pair in pairs]
     norm = math.hypot(u, SQRT2 * w)
     return CollectiveParams(u=u, w=w, alpha=u / norm, beta=SQRT2 * w / norm)
 
@@ -87,14 +94,21 @@ def from_system(params: SystemParams) -> CollectiveParams:
 Gauges = CollectiveParams | Sequence[CollectiveParams]
 
 
+def distinct_gauges(cp: Sequence[CollectiveParams]) -> tuple[list[CollectiveParams], list[int]]:
+    """The distinct gauges of a sequence, in order of first appearance, and
+    the index of each member's gauge among them."""
+    position: dict[CollectiveParams, int] = {}
+    rows = [position.setdefault(gauge, len(position)) for gauge in cp]
+    return list(position), rows
+
+
 def _per_gauge(cp: Gauges, build: Callable[[CollectiveParams], np.ndarray]) -> np.ndarray:
     """build(cp) for one gauge; for a sequence of P gauges, the stack of build
     over them along a new first axis, each distinct gauge built once."""
     if isinstance(cp, CollectiveParams):
         return build(cp)
-    position: dict[CollectiveParams, int] = {}
-    rows = [position.setdefault(gauge, len(position)) for gauge in cp]
-    return np.stack([build(gauge) for gauge in position])[rows]
+    gauges, rows = distinct_gauges(cp)
+    return np.stack([build(gauge) for gauge in gauges])[rows]
 
 
 def basis_change_matrix(cp: Gauges) -> np.ndarray:

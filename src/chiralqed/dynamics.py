@@ -119,10 +119,15 @@ class _System(NamedTuple):
 
 @functools.lru_cache(maxsize=4)
 def _constants(d2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trace row and the right-hand sides (trace constraint, seeded probe), read-only."""
+    """The trace row and the right-hand sides (trace constraint, probe), read-only.
+
+    The probe is fixed, not random: the fractional parts of k times the
+    golden ratio and of k times sqrt(2), less 1/2, as its real and imaginary
+    parts, an equidistributed sequence with no structure the generators share.
+    """
     trace_row = vectorize(np.eye(math.isqrt(d2), dtype=complex))
-    rng = np.random.default_rng(20240811)
-    probe = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    k = np.arange(1, d2 + 1)
+    probe = (k * 0.6180339887498949 % 1.0 - 0.5) + 1j * (k * 0.41421356237309515 % 1.0 - 0.5)
     rhs = np.stack([np.eye(1, d2, dtype=complex)[0], probe], axis=-1)
     trace_row.flags.writeable = rhs.flags.writeable = False
     return trace_row, rhs
@@ -300,7 +305,10 @@ def steady_state(lv, undriven=None) -> np.ndarray:
         constrained = members.copy()
         constrained[:, 0, :] = trace_row
         both = _solve_dense(constrained, rhs)
-        scale = np.linalg.norm(members, axis=(1, 2))
+        # ||L||_F as np.linalg.norm computes it, with the solved system's
+        # memory for the (P, d2, d2) products in place of two new arrays.
+        squares = np.multiply(np.conjugate(members, out=constrained), members, out=constrained)
+        scale = np.sqrt(np.add.reduce(squares.real, axis=(1, 2)))
         apply = lambda vecs: (members @ vecs[..., np.newaxis])[..., 0]
     solution, candidate = both[..., 0], both[..., 1]
 

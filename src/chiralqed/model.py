@@ -67,7 +67,18 @@ class SystemParams:
     @property
     def e_field(self) -> complex:
         """Complex pair-pump amplitude."""
-        return self.e_mag * cmath.exp(1j * self.phi_d)
+        return pump_field(self.e_mag, self.phi_d)
+
+
+def pump_field(e_mag: float, phi_d: float | np.ndarray) -> complex | np.ndarray:
+    """e_mag exp(i phi_d); a (P,) array of phases gives a (P,) array.
+
+    Each phase goes through cmath.exp and Python's complex product, whose
+    last places numpy's exp and product need not match.
+    """
+    if not isinstance(phi_d, np.ndarray):
+        return e_mag * cmath.exp(1j * phi_d)
+    return np.array([e_mag * cmath.exp(1j * phase) for phase in phi_d.tolist()])
 
 
 @dataclass(frozen=True)
@@ -91,17 +102,29 @@ class DerivedParams:
     omega_phi: float
 
 
-def derive(params: SystemParams) -> DerivedParams:
-    """Compute the collective-frame parameters."""
-    total = params.kappa + params.gamma
-    u = math.sqrt(params.kappa / total)
-    w = math.sqrt(params.gamma / total)
-    g_chi = 0.5 * (1.0 - params.chi) * math.sqrt(params.kappa * params.gamma)
-    gamma_chi = (1.0 + params.chi) * total
-    delta_s = 0.5 * (params.delta_c + params.delta_a)
-    delta = 0.5 * (params.delta_c - params.delta_a)
-    omega_psi = u * params.omega_c + w * params.omega_a
-    omega_phi = w * params.omega_c - u * params.omega_a
+def _sqrt(x: float | np.ndarray) -> float | np.ndarray:
+    """math.sqrt, elementwise on an array; both are correctly rounded."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def derive(params: SystemParams, **changes: float | np.ndarray) -> DerivedParams:
+    """Compute the collective-frame parameters.
+
+    Keyword arguments set fields of params, unchecked.  (P,) arrays there
+    give (P,) arrays of the quantities that depend on them, each element
+    equal to the scalar result bit for bit.
+    """
+    p = {**vars(params), **changes}
+    kappa, gamma, chi = p["kappa"], p["gamma"], p["chi"]
+    total = kappa + gamma
+    u = _sqrt(kappa / total)
+    w = _sqrt(gamma / total)
+    g_chi = 0.5 * (1.0 - chi) * _sqrt(kappa * gamma)
+    gamma_chi = (1.0 + chi) * total
+    delta_s = 0.5 * (p["delta_c"] + p["delta_a"])
+    delta = 0.5 * (p["delta_c"] - p["delta_a"])
+    omega_psi = u * p["omega_c"] + w * p["omega_a"]
+    omega_phi = w * p["omega_c"] - u * p["omega_a"]
     return DerivedParams(
         u=u,
         w=w,
@@ -114,10 +137,10 @@ def derive(params: SystemParams) -> DerivedParams:
     )
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of the last two axes, broadcast over any leading ones."""
-    outer = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return outer.reshape(*outer.shape[:-4], a.shape[-2] * b.shape[-2], -1)
+def _kron(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.kron of the last two (D, D) axes, broadcast over any leading ones,
+    as a (..., D, D, D, D) array; written into out if it is given."""
+    return np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], out=out)
 
 
 def _issparse(x) -> bool:
@@ -139,22 +162,31 @@ def lindblad(h, jumps):
     """
     dim = h.shape[-1]
     sparse = _issparse(h)
+    x = -1j * h
+    for c in jumps:
+        c_dagger = c.conj().T if sparse else np.swapaxes(c.conj(), -1, -2)
+        x = x - 0.5 * (c_dagger @ c)
     if sparse:
         import scipy.sparse
 
         kron = functools.partial(scipy.sparse.kron, format="csr")
         eye = scipy.sparse.csr_array(np.eye(dim, dtype=complex))
-    else:
-        kron = _kron
-        eye = np.eye(dim, dtype=complex)
-    x = -1j * h
-    for c in jumps:
-        c_dagger = c.conj().T if sparse else np.swapaxes(c.conj(), -1, -2)
-        x = x - 0.5 * (c_dagger @ c)
-    lv = kron(eye, x) + kron(x.conj(), eye)
-    for c in jumps:
-        lv = lv + kron(c.conj(), c)
-    return lv
+        lv = kron(eye, x) + kron(x.conj(), eye)
+        for c in jumps:
+            lv = lv + kron(c.conj(), c)
+        return lv
+    # The further products are added in place, in the same order, so the
+    # result is the sum of the np.kron terms bit for bit.  A stack takes them
+    # one row block at a time, through a buffer a D-th of its size that the
+    # allocator reuses rather than mapping fresh pages for.
+    eye = np.eye(dim, dtype=complex)
+    lv = _kron(eye, x)
+    height = 1 if lv.ndim > 4 else dim
+    block = np.empty((*lv.shape[:-4], height, *lv.shape[-3:]), dtype=complex)
+    for a, b in [(x.conj(), eye)] + [(c.conj(), c) for c in jumps]:
+        for i in range(0, dim, height):
+            lv[..., i:i + height, :, :, :] += _kron(a[..., i:i + height, :], b, out=block)
+    return lv.reshape(*lv.shape[:-4], dim * dim, dim * dim)
 
 
 def _weights(params: SystemParams) -> tuple[list[float], list[float]]:

@@ -171,9 +171,10 @@ class FullStates:
 
 
 class FiveStates:
-    """Steady states of the five-state engine, a (P, 5, 5) collective-basis stack."""
+    """Steady states of the five-state engine, a (P, 5, 5) collective-basis
+    stack, with one gauge for all of them or a list of P."""
 
-    def __init__(self, rho: np.ndarray, cp: list[coll.CollectiveParams]):
+    def __init__(self, rho: np.ndarray, cp: coll.Gauges):
         self.rho = rho
         self.cp = cp
 

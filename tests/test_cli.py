@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import filecmp
 import io
 import math
@@ -172,6 +173,15 @@ def test_bad_override_is_config_error(tmp_path, capsys, key, value):
     assert main(["point", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+def test_overflowing_collective_rate_is_config_error(tmp_path, capsys):
+    # gamma_chi = (1 + chi)(kappa + gamma) overflows before any override applies
+    cfg = _write(
+        tmp_path, "[system]\ngamma = 1e308\nchi = 1.0\nomega_c = 0.01\n[engine]\nengine = truncated\n"
+    )
+    assert main(["point", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: [engine] gamma_chi must be finite, got inf\n"
 
 
 def test_config_rejects_scaled_kappa(tmp_path, capsys):
@@ -528,7 +538,7 @@ def test_sweep_points_above_the_limit_fail_before_allocating(tmp_path, capsys, m
         raise AssertionError("built the grid of a sweep above the points limit")
 
     monkeypatch.setattr(cli.Sweep, "grid", no_grid)
-    monkeypatch.setattr(Engine, "solve_many", no_grid)
+    monkeypatch.setattr(Engine, "solve", no_grid)
     for points in (cli.MAX_SWEEP_POINTS + 1, 10**15):
         cfg = _write(tmp_path, SWEEP_CONFIG.replace("points = 5", f"points = {points}"))
         assert main(["sweep", "--config", cfg]) == 2
@@ -537,34 +547,111 @@ def test_sweep_points_above_the_limit_fail_before_allocating(tmp_path, capsys, m
         )
 
 
+# (engine, parameter, lo, hi, points, message naming the first invalid value)
+SWEPT_VALUE_ERRORS = [
+    *(
+        (engine, *case)
+        for engine in ("full", "truncated")
+        for case in (
+            ("chi", "0.0", "2.0", 5, "swept value 1.5: chi must lie in [0, 1], got 1.5"),
+            ("omega_c", "-1.0", "1.0", 5,
+             "swept value -1.0: omega_c must be nonnegative, got -1.0"),
+            ("gamma", "-0.5", "1.5", 5, "swept value -0.5: gamma must be nonnegative, got -0.5"),
+            # linspace(-inf, 0, 3) is [nan, nan, 0]
+            ("delta_s", "-inf", "0.0", 3, "swept value nan: delta_c must be finite, got nan"),
+        )
+    ),
+    ("truncated", "g_chi", "-inf", "0.0", 3, "[engine] g_chi must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("engine, parameter, lo, hi, points, message", SWEPT_VALUE_ERRORS)
+def test_invalid_swept_value_fails_before_solving(
+    tmp_path, capsys, monkeypatch, engine, parameter, lo, hi, points, message
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a point of a sweep with an invalid value")
+
+    # batches of two put the invalid chi value past the first batch
+    monkeypatch.setattr(cli, "BATCH_POINTS", 2)
+    monkeypatch.setattr(cli, "steady_state", no_solve)
+    cfg = _write(
+        tmp_path,
+        DARK_SYSTEM
+        + f"[sweep]\nparameter = {parameter}\nlo = {lo}\nhi = {hi}\npoints = {points}\n"
+        f"[engine]\nengine = {engine}\ncutoff = 4\n",
+    )
+    assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _swept_point(base, parameter, value):
+    """The system and overrides of one swept value, built alone."""
+    if parameter == "g_chi":
+        return base, {"g_chi": value}
+    if parameter == "delta_s":
+        delta = 0.5 * (base.delta_c - base.delta_a)
+        return dataclasses.replace(base, delta_c=value + delta, delta_a=value - delta), {}
+    return dataclasses.replace(base, **{parameter: value}), {}
+
+
+@pytest.mark.parametrize("parameter, lo, hi", [
+    ("phi_d", -math.pi, math.pi),  # the pump goes through cmath.exp at each value
+    ("delta_s", -3.0, 3.0),
+    ("gamma", 0.25, 4.0),  # each value has its own gauge, through math.hypot
+    ("omega_c", 0.01, 0.1),
+    ("chi", 0.0, 1.0),
+    ("g_chi", -2.0, 2.0),
+])
+def test_five_state_sweep_rows_equal_per_point_solves(parameter, lo, hi):
+    base = SystemParams(
+        gamma=0.8, chi=0.3, delta_c=0.7, delta_a=-0.4, omega_c=0.04, omega_a=0.02,
+        e_mag=3e-3, phi_d=0.9,
+    )
+    sweep = cli.Sweep(parameter, lo, hi, 9)
+    engine = Engine("truncated", FockCutoff(8), {"gamma_chi": 1.7} if parameter == "g_chi" else {})
+    rows = sweep.rows(engine, base, tuple(OBSERVABLES))
+    expected = []
+    for value in sweep.grid().tolist():
+        params, overrides = _swept_point(base, parameter, value)
+        point = Engine("truncated", engine.cutoff, {**engine.overrides, **overrides})
+        expected.append([value, *point.observe(params, OBSERVABLES).values()])
+    assert rows.tobytes() == np.array(expected).tobytes()
+
+
 def test_batched_observables_match_the_scalar_readout():
-    points = [
-        (SystemParams(gamma=gamma, delta_c=0.3, omega_c=0.03, omega_a=0.02, e_mag=1e-3), {})
-        for gamma in (0.5, 1.0, 2.0)
+    sweeps = [
+        # every gamma has its own gauge
+        (SystemParams(delta_c=0.3, omega_c=0.03, omega_a=0.02, e_mag=1e-3), {"gamma_chi": 1.5},
+         "gamma", [0.5, 1.0, 2.0]),
+        # drives of 1e-8 leave the mean photon number (2.5e-17) below the
+        # floor, where g2 is undefined though the ratio is finite
+        (SystemParams(omega_a=1e-8), {"gamma_chi": 1.5, "g_chi": 2.0}, "omega_c", [1e-8, 0.03]),
     ]
-    # a drive of 1e-8 leaves the mean photon number (2.5e-17) below the
-    # floor, where g2 is undefined though the ratio is finite
-    points.insert(1, (SystemParams(gamma=1.0, omega_c=1e-8, omega_a=1e-8), {"g_chi": 2.0}))
-    states = Engine("truncated", FockCutoff(8), {"gamma_chi": 1.5}).solve_many(points)
-    table = {name: OBSERVABLES[name](states) for name in OBSERVABLES}
-    cavity = [obs.truncated_cavity_stats(rho, cp) for rho, cp in zip(states.rho, states.cp)]
-    assert 0.0 < cavity[1][0] < obs.MEAN_PHOTON_FLOOR and cavity[1][1] is None
-    s5 = coll.product_five_ops()[1]
-    expected = {
-        "mean_n": [mean_n for mean_n, _ in cavity],
-        "g2": [math.nan if g2 is None else g2 for _, g2 in cavity],
-        "purity": [obs.purity(rho) for rho in states.rho],
-        "rho_22": [
-            np.trace(s5.conj().T @ s5 @ coll.collective_to_product(rho, cp)).real
-            for rho, cp in zip(states.rho, states.cp)
-        ],
-    }
-    for name, label in (("rho_11", "1"), ("rho_psipsi", "psi"), ("rho_phiphi", "phi"),
-                        ("rho_xixi", "xi"), ("rho_zetazeta", "zeta")):
-        expected[name] = [obs.population(rho, label) for rho in states.rho]
-    assert table.keys() == expected.keys()
-    for name, values in expected.items():
-        assert np.array_equal(table[name], values, equal_nan=True), name
+    for base, overrides, parameter, grid in sweeps:
+        engine = Engine("truncated", FockCutoff(8), overrides)
+        states = engine.solve(base, parameter, np.array(grid))
+        gauges = states.cp if isinstance(states.cp, list) else [states.cp] * len(grid)
+        table = {name: OBSERVABLES[name](states) for name in OBSERVABLES}
+        cavity = [obs.truncated_cavity_stats(rho, cp) for rho, cp in zip(states.rho, gauges)]
+        if parameter == "omega_c":
+            assert 0.0 < cavity[0][0] < obs.MEAN_PHOTON_FLOOR and cavity[0][1] is None
+        s5 = coll.product_five_ops()[1]
+        expected = {
+            "mean_n": [mean_n for mean_n, _ in cavity],
+            "g2": [math.nan if g2 is None else g2 for _, g2 in cavity],
+            "purity": [obs.purity(rho) for rho in states.rho],
+            "rho_22": [
+                np.trace(s5.conj().T @ s5 @ coll.collective_to_product(rho, cp)).real
+                for rho, cp in zip(states.rho, gauges)
+            ],
+        }
+        for name, label in (("rho_11", "1"), ("rho_psipsi", "psi"), ("rho_phiphi", "phi"),
+                            ("rho_xixi", "xi"), ("rho_zetazeta", "zeta")):
+            expected[name] = [obs.population(rho, label) for rho in states.rho]
+        assert table.keys() == expected.keys()
+        for name, values in expected.items():
+            assert np.array_equal(table[name], values, equal_nan=True), name
 
 
 def test_seventeen_digit_round_trip(tmp_path, capsys):

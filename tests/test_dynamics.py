@@ -14,7 +14,7 @@ import scipy.sparse.csgraph
 
 from chiralqed import dynamics
 from chiralqed import truncated_oracle as trunc
-from chiralqed.cli import FIGURE_PRESETS
+from chiralqed.cli import FIGURE_PRESETS, _changes
 from chiralqed.dynamics import (
     DegenerateSteadyStateError,
     PositivityError,
@@ -211,8 +211,9 @@ def _figure_points():
     for name in ("figure4", "figure5", "figure6", "figure7"):
         preset = FIGURE_PRESETS[name]
         for curve in preset.curves:
-            for value in preset.sweep.grid()[::10]:
-                yield preset.sweep._at(value, curve.system)[0]
+            for value in preset.sweep.grid()[::10].tolist():
+                changes, _ = _changes(curve.system, preset.sweep.parameter, value)
+                yield replace(curve.system, **changes)
 
 
 def _point_n16_draws(count):
@@ -468,7 +469,8 @@ def test_fallback_member_matches_its_single_call(monkeypatch):
 def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
     # the test modules import scipy, so only a fresh interpreter shows which
     # paths load it: the five-state engine, darkcheck and the dense solve must
-    # not, and each of the full engine's local imports must be in place
+    # not, nor numpy.random, and each of the full engine's local imports must
+    # be in place
     readme = os.path.join(DATA, "readme.ini")
     with open(readme, encoding="utf-8") as handle:
         config = handle.read()
@@ -497,7 +499,7 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
         + "lower = np.array([[0, 1], [0, 0]], dtype=complex)\n"
         "stack = np.stack([lindblad(0.3 * (lower + lower.T), [lower]), needs_diagnosis])\n"
         "assert diagnosed(steady_state(stack)[1])\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.random'))))\n"
     )
     assert _run_fresh(five_state).strip() == "[]"
     lines = (tmp_path / "sweep.txt").read_text().splitlines()

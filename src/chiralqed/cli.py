@@ -113,8 +113,11 @@ class Engine:
         The five-state engine carries the values as arrays into one stack of
         generators and one stacked solve, the full engine solves one sparse
         generator per point.  An invalid value raises the ConfigError of the
-        first one, as a check of each point alone would.
+        first one, as a check of each point alone would.  The five-state
+        model has no placement phase, so it refuses a nonzero or swept x_phase.
         """
+        if self.name == "truncated" and (base.x_phase != 0.0 or parameter == "x_phase"):
+            raise ConfigError("x_phase has no truncated-engine counterpart")
         system, overrides = ({}, {}) if parameter is None else _swept(base, parameter, values)
         if self.name == "full":
             points = [base] if parameter is None else [
@@ -243,8 +246,6 @@ class Sweep:
     ) -> np.ndarray:
         if self.parameter == "g_chi" and engine.name != "truncated":
             raise ConfigError("g_chi is only sweepable with engine=truncated")
-        if self.parameter == "x_phase" and engine.name == "truncated":
-            raise ConfigError("x_phase has no truncated-engine counterpart")
         return _rows(engine, base, self.parameter, self.grid(), names)
 
 

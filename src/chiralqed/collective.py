@@ -11,7 +11,6 @@ physics in the product basis cannot depend on it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,36 +51,39 @@ class CollectiveAmplitudes:
 
 @dataclass(frozen=True)
 class CollectiveParams:
-    """Superposition weights (u, w) and the double-excitation gauge (alpha, beta)."""
+    """Superposition weights (u, w) and the double-excitation gauge (alpha, beta).
 
-    u: float
-    w: float
-    alpha: float
-    beta: float
+    One record holds one gauge, with float fields, or a batch of P gauges,
+    with four (P,) array fields.
+    """
+
+    u: float | np.ndarray
+    w: float | np.ndarray
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(self.u**2 + self.w**2 - 1.0) > 1e-12:
+        if np.count_nonzero(abs(self.u**2 + self.w**2 - 1.0) > 1e-12):
             raise ValueError("u^2 + w^2 must equal 1")
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
+        if np.count_nonzero(abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12):
             raise ValueError("alpha^2 + beta^2 must equal 1")
 
 
-def default_gauge(
-    u: float | np.ndarray, w: float | np.ndarray
-) -> CollectiveParams | list[CollectiveParams]:
+def default_gauge(u: float | np.ndarray, w: float | np.ndarray) -> CollectiveParams:
     """The gauge with u beta = sqrt(2) w alpha.
 
     It funnels the bright single state into one double state only (its
     overlap beta u - sqrt(2) w alpha with the other vanishes), which keeps
     diagnostics readable; the gauge-independence property guards
-    against accidental reliance on it.  (P,) arrays of weights give a list
-    of P gauges, each distinct pair's built once.
+    against accidental reliance on it.  (P,) arrays of weights give a batch
+    of P gauges, each member equal to the gauge of its weights bit for bit.
     """
     if isinstance(u, np.ndarray) or isinstance(w, np.ndarray):
-        pairs = list(zip(*(weights.tolist() for weights in np.broadcast_arrays(u, w))))
-        gauges = {pair: default_gauge(*pair) for pair in dict.fromkeys(pairs)}
-        return [gauges[pair] for pair in pairs]
-    norm = math.hypot(u, SQRT2 * w)
+        u, w = np.broadcast_arrays(u, w)
+        # math.hypot per element: np.hypot rounds some pairs differently.
+        norm = np.array([math.hypot(a, SQRT2 * b) for a, b in zip(u.tolist(), w.tolist())])
+    else:
+        norm = math.hypot(u, SQRT2 * w)
     return CollectiveParams(u=u, w=w, alpha=u / norm, beta=SQRT2 * w / norm)
 
 
@@ -91,47 +93,25 @@ def from_system(params: SystemParams) -> CollectiveParams:
     return default_gauge(dp.u, dp.w)
 
 
-Gauges = CollectiveParams | Sequence[CollectiveParams]
+# Flat positions in a 5x5 matrix of the entries basis_change_matrix fills
+# from the gauge, in the order of its values; entry (0, 0) is 1.
+_BASIS_ENTRIES = np.ravel_multi_index(
+    ([1, 1, 2, 2, 3, 3, 4, 4], [1, 2, 3, 4, 1, 2, 3, 4]), (5, 5)
+)
 
 
-def distinct_gauges(cp: Sequence[CollectiveParams]) -> tuple[list[CollectiveParams], list[int]]:
-    """The distinct gauges of a sequence, in order of first appearance, and
-    the index of each member's gauge among them."""
-    position: dict[CollectiveParams, int] = {}
-    rows = [position.setdefault(gauge, len(position)) for gauge in cp]
-    return list(position), rows
-
-
-def _per_gauge(cp: Gauges, build: Callable[[CollectiveParams], np.ndarray]) -> np.ndarray:
-    """build(cp) for one gauge; for a sequence of P gauges, the stack of build
-    over them along a new first axis, each distinct gauge built once."""
-    if isinstance(cp, CollectiveParams):
-        return build(cp)
-    gauges, rows = distinct_gauges(cp)
-    return np.stack([build(gauge) for gauge in gauges])[rows]
-
-
-def basis_change_matrix(cp: Gauges) -> np.ndarray:
+def basis_change_matrix(cp: CollectiveParams) -> np.ndarray:
     """Unitary whose columns are the collective states in product coordinates.
 
     Rows follow the product order |g,0>, |g,1>, |g,2>, |e,0>, |e,1>; columns
-    follow COLLECTIVE_LABELS.  A sequence of P gauges gives a (P, 5, 5) stack.
+    follow COLLECTIVE_LABELS.  A batch of P gauges gives a (P, 5, 5) stack.
     """
-    return _per_gauge(cp, _basis_change)
-
-
-def _basis_change(cp: CollectiveParams) -> np.ndarray:
     u, w, al, be = cp.u, cp.w, cp.alpha, cp.beta
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, u, w, 0.0, 0.0],
-            [0.0, 0.0, 0.0, al, be],
-            [0.0, w, -u, 0.0, 0.0],
-            [0.0, 0.0, 0.0, be, -al],
-        ],
-        dtype=complex,
-    )
+    values = np.array([u, w, al, be, w, -u, be, -al]).T
+    unitary = np.zeros((*values.shape[:-1], 25), dtype=complex)
+    unitary[..., 0] = 1.0
+    unitary[..., _BASIS_ENTRIES] = values
+    return unitary.reshape(*values.shape[:-1], 5, 5)
 
 
 def product_five_ops() -> tuple[np.ndarray, np.ndarray]:
@@ -146,30 +126,27 @@ def product_five_ops() -> tuple[np.ndarray, np.ndarray]:
     return a5, s5
 
 
-def collective_jump_operators(cp: Gauges) -> tuple[np.ndarray, np.ndarray]:
+def collective_jump_operators(cp: CollectiveParams) -> tuple[np.ndarray, np.ndarray]:
     """Bright (decaying) and dark polariton lowering operators, collective basis.
 
     The bright operator is u a + w sigma- rotated into the collective basis;
     the dark one is w a - u sigma-.  Only the bright one appears in the
-    collective dissipator.  A sequence of P gauges gives two (P, 5, 5) stacks.
+    collective dissipator.  A batch of P gauges gives two (P, 5, 5) stacks.
     """
-    pair = _per_gauge(cp, _jump_pair)
-    return pair[..., 0, :, :], pair[..., 1, :, :]
-
-
-def _jump_pair(cp: CollectiveParams) -> np.ndarray:
     unitary = basis_change_matrix(cp)
+    adjoint = np.swapaxes(unitary.conj(), -1, -2)
     a5, s5 = product_five_ops()
-    bright = unitary.conj().T @ (cp.u * a5 + cp.w * s5) @ unitary
-    dark = unitary.conj().T @ (cp.w * a5 - cp.u * s5) @ unitary
-    return np.stack((bright, dark))
+    u, w = (np.asarray(weight)[..., np.newaxis, np.newaxis] for weight in (cp.u, cp.w))
+    bright = adjoint @ (u * a5 + w * s5) @ unitary
+    dark = adjoint @ (w * a5 - u * s5) @ unitary
+    return bright, dark
 
 
-def collective_to_product(rho5: np.ndarray, cp: Gauges) -> np.ndarray:
+def collective_to_product(rho5: np.ndarray, cp: CollectiveParams) -> np.ndarray:
     """Rotate a collective-basis matrix into the product basis of the five
     retained states.
 
-    rho5 may also be a (P, 5, 5) stack, with cp one gauge or a sequence of P.
+    rho5 may also be a (P, 5, 5) stack, with cp one gauge or a batch of P.
     """
     rho5 = np.asarray(rho5, dtype=complex)
     if rho5.ndim not in (2, 3) or rho5.shape[-2:] != (5, 5):
@@ -190,7 +167,7 @@ def embedding_isometry(cutoff: FockCutoff) -> np.ndarray:
 def collective_state_vector(
     label: str, cp: CollectiveParams, cutoff: FockCutoff | None = None
 ) -> np.ndarray:
-    """A collective basis state as a product-space vector.
+    """A collective basis state of one gauge as a product-space vector.
 
     With a cutoff the vector lives in the full space; without one it lives in
     the five-state product subspace.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -100,23 +100,6 @@ def _diagnose_degeneracy(lv) -> np.ndarray:
     return vh[-1].conj()
 
 
-class _System(NamedTuple):
-    """A point's trace-constrained system: lv with the trace row in place of row 0."""
-
-    csr: scipy.sparse.csr_array
-    nnz = property(lambda self: self.csr.nnz)
-
-    def csc(self) -> scipy.sparse.csc_array:
-        return self.csr.tocsc()
-
-    @property
-    def full_rank(self) -> bool:
-        """Structurally; if not, the system is exactly singular, which SuperLU
-        says on some systems only after OpenBLAS printed errors to stdout."""
-        from scipy.sparse.csgraph import structural_rank  # not on the dense path: 1.3 MiB
-        return structural_rank(self.csr) == self.csr.shape[0]
-
-
 @functools.lru_cache(maxsize=4)
 def _constants(d2: int) -> tuple[np.ndarray, np.ndarray]:
     """The trace row and the right-hand sides (trace constraint, probe), read-only.
@@ -133,7 +116,7 @@ def _constants(d2: int) -> tuple[np.ndarray, np.ndarray]:
     return trace_row, rhs
 
 
-def _system(lv) -> _System:
+def _system(lv) -> scipy.sparse.csr_array:
     """lv's trace-constrained system: the trace row's D ones in place of row 0
     of lv's CSR arrays, in new arrays whose explicit zeros are eliminated."""
     import scipy.sparse
@@ -146,18 +129,21 @@ def _system(lv) -> _System:
         np.concatenate([np.zeros(1, dtype=lv.indptr.dtype), lv.indptr[1:] - first + dim]),
     ), shape=lv.shape)
     csr.eliminate_zeros()
-    return _System(csr)
+    return csr
 
 
-def _factorize(system: _System):
+def _factorize(system: scipy.sparse.csr_array):
     """SuperLU's solve (MMD_AT_PLUS_A, symmetric mode) of a system; None if exactly singular."""
-    if not system.full_rank:
-        return None
+    from scipy.sparse.csgraph import structural_rank  # not on the dense path: 1.3 MiB
     import scipy.sparse.linalg
 
+    # A structurally singular system is exactly singular, which SuperLU says
+    # on some systems only after OpenBLAS printed errors to stdout.
+    if structural_rank(system) < system.shape[0]:
+        return None
     try:
         return scipy.sparse.linalg.splu(
-            system.csc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+            system.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
         ).solve
     except RuntimeError as exc:
         if "singular" not in str(exc):
@@ -219,20 +205,20 @@ def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) ->
 
 
 def _solve_sparse(constrained, rhs: np.ndarray, undriven=None) -> np.ndarray:
-    """Refined solutions of a constrained _System for the two columns of rhs,
+    """Refined solutions of a constrained system for the two columns of rhs,
     the trace constraint and the probe; NaN if the system is singular.  The
     factors are the undriven system's if it is given, SuperLU factorises it,
     and the steps of both columns contract; otherwise the system's own."""
-    (b, probe), system = rhs.T, constrained.csr
+    b, probe = rhs.T
     for factors in [m for m in (undriven, constrained) if m is not None]:
         solve, own = _factorize(factors), factors is constrained
         if solve is None:
             continue
-        solution, contracted = _refine(system, solve, b, WIDE_TOL)
+        solution, contracted = _refine(constrained, solve, b, WIDE_TOL)
         if contracted or own:
-            candidate, contracted = _refine(system, solve, probe, FLOAT_FLOOR)
+            candidate, contracted = _refine(constrained, solve, probe, FLOAT_FLOOR)
         if contracted or own:
-            solution = _refine_wide(system, solve, b, solution, undriven=not own)
+            solution = _refine_wide(constrained, solve, b, solution, undriven=not own)
             return np.stack([solution, candidate], axis=-1)
     return np.full(rhs.shape, np.nan, dtype=complex)
 

@@ -117,11 +117,11 @@ def population(
 
 
 def truncated_cavity_stats(
-    rho_coll: np.ndarray, cp: coll.Gauges
+    rho_coll: np.ndarray, cp: coll.CollectiveParams
 ) -> tuple[float | np.ndarray, float | None | np.ndarray]:
     """(mean photon number, g2) for a 5x5 collective-basis state.
 
-    A (P, 5, 5) stack takes one gauge or a sequence of P.  Within the
+    A (P, 5, 5) stack takes one gauge or a batch of P.  Within the
     two-excitation subspace a^2 only connects |g,2> to |g,0>, so the pair
     correlator reduces to twice the |g,2> population.
     """
@@ -172,9 +172,9 @@ class FullStates:
 
 class FiveStates:
     """Steady states of the five-state engine, a (P, 5, 5) collective-basis
-    stack, with one gauge for all of them or a list of P."""
+    stack, with one gauge for all of them or a batch of P."""
 
-    def __init__(self, rho: np.ndarray, cp: coll.Gauges):
+    def __init__(self, rho: np.ndarray, cp: coll.CollectiveParams):
         self.rho = rho
         self.cp = cp
 

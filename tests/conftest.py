@@ -14,7 +14,9 @@ tautology.
 applies the Hamiltonian and the bright-polariton dissipator to a density
 matrix directly, where ``chiralqed.truncated_oracle`` builds a generator.
 ``index_to_label`` and ``product_to_collective`` invert library maps so the
-tests can check round trips.
+tests can check round trips.  ``stack_params`` makes one batch record of
+one-point five-state records, and ``gauge_members`` splits a batch gauge
+into its members, so batches can be checked against their points.
 
 The rest are reference implementations that no engine or CLI path runs, so
 they live here rather than in the package: ``build_hamiltonian`` (the
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -116,6 +118,24 @@ def truncated_rhs(rho: np.ndarray, p: trunc.TruncatedParams) -> np.ndarray:
     out = out + p.gamma_chi * (bright @ rho @ bright_d)
     out = out - 0.5 * p.gamma_chi * (sink @ rho + rho @ sink)
     return out
+
+
+def stack_params(tps: list[trunc.TruncatedParams]) -> trunc.TruncatedParams:
+    """One batch record of P one-point records: (P,) fields and a batch gauge."""
+    def column(records, name):
+        return np.array([getattr(record, name) for record in records])
+
+    gauge = {f.name: column([tp.cp for tp in tps], f.name) for f in fields(coll.CollectiveParams)}
+    return trunc.TruncatedParams(
+        **{f.name: column(tps, f.name) for f in fields(trunc.TruncatedParams) if f.name != "cp"},
+        cp=coll.CollectiveParams(**gauge),
+    )
+
+
+def gauge_members(cp: coll.CollectiveParams, count: int) -> list[coll.CollectiveParams]:
+    """The count one-gauge records of a batch gauge; one gauge, repeated."""
+    columns = [np.broadcast_to(getattr(cp, f.name), (count,)).tolist() for f in fields(cp)]
+    return [coll.CollectiveParams(*member) for member in zip(*columns)]
 
 
 def index_to_label(index: int, cutoff: FockCutoff) -> BasisLabel:

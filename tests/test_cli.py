@@ -25,7 +25,7 @@ from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian
 from chiralqed.observables import OBSERVABLES
 
-from conftest import OUT_OF_RANGE_FIELDS, subprocess_env
+from conftest import OUT_OF_RANGE_FIELDS, gauge_members, subprocess_env
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -448,6 +448,21 @@ def test_sweep_g_chi_needs_truncated_engine(tmp_path, capsys):
         """),
     )
     assert main(["sweep", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: g_chi is only sweepable with engine=truncated\n"
+
+
+@pytest.mark.parametrize("command, system, sweep", [
+    ("point", "x_phase = 1.3\n", ""),
+    ("sweep", "x_phase = 1.3\n", "[sweep]\nparameter = delta_s\nlo = -1.0\nhi = 1.0\npoints = 3\n"),
+    ("sweep", "", "[sweep]\nparameter = x_phase\nlo = 0.0\nhi = 1.0\npoints = 3\n"),
+    ("oracle-compare", "x_phase = 1.3\n", ""),
+], ids=["point", "sweep-delta_s", "sweep-x_phase", "oracle-compare"])
+def test_five_state_engine_refuses_x_phase(tmp_path, capsys, command, system, sweep):
+    # the five-state model has no placement phase to set
+    engine = "" if command == "oracle-compare" else "[engine]\nengine = truncated\ncutoff = 4\n"
+    cfg = _write(tmp_path, DARK_SYSTEM + system + sweep + engine)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: x_phase has no truncated-engine counterpart\n"
 
 
 def test_sweep_output_is_deterministic(tmp_path):
@@ -631,7 +646,7 @@ def test_batched_observables_match_the_scalar_readout():
     for base, overrides, parameter, grid in sweeps:
         engine = Engine("truncated", FockCutoff(8), overrides)
         states = engine.solve(base, parameter, np.array(grid))
-        gauges = states.cp if isinstance(states.cp, list) else [states.cp] * len(grid)
+        gauges = gauge_members(states.cp, len(grid))
         table = {name: OBSERVABLES[name](states) for name in OBSERVABLES}
         cavity = [obs.truncated_cavity_stats(rho, cp) for rho, cp in zip(states.rho, gauges)]
         if parameter == "omega_c":
@@ -808,11 +823,14 @@ def test_figure5_matches_the_golden_file(capsys):
         ("point", "readme.ini", "point_readme.txt"),
         ("point", "pumped_truncated.ini", "point_pumped_truncated.txt"),
         ("darkcheck", "readme.ini", "darkcheck_readme.txt"),
+        ("sweep", "sweep_gamma_truncated.ini", "sweep_gamma_truncated.csv"),
     ],
 )
 def test_report_matches_the_golden_file(capsys, command, config, golden):
     """Reports against the output written before the dark-state residuals and
-    the five-state engine took their operators from truncated_operators.
+    the five-state engine took their operators from truncated_operators, and
+    a five-state gamma sweep, where every point has its own gauge, against
+    the output written while the gauges of a sweep were a list of records.
     readme.ini is the README's example config."""
     assert main([command, "--config", os.path.join(DATA, config)]) == 0
     _assert_matches_golden(capsys.readouterr().out, golden)

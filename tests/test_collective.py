@@ -55,6 +55,33 @@ def test_default_gauge_selection():
         assert cp.alpha ** 2 + cp.beta ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
+def test_batch_gauge_members_equal_single_gauges():
+    # at gamma = 1.345, np.hypot rounds the norm differently from math.hypot
+    gammas = [0.3, 1.0, 1.345, 2.5, 1.345]
+    u, w = _weights(1.345)
+    assert np.hypot(u, SQRT2 * w) != math.hypot(u, SQRT2 * w)
+    singles = [coll.default_gauge(*_weights(gamma)) for gamma in gammas]
+    batch = coll.default_gauge(*(np.array(column) for column in zip(*map(_weights, gammas))))
+    for name in ("u", "w", "alpha", "beta"):
+        assert getattr(batch, name).tobytes() == np.array([getattr(cp, name) for cp in singles]).tobytes()
+    assert coll.basis_change_matrix(batch).tobytes() == (
+        np.stack([coll.basis_change_matrix(cp) for cp in singles]).tobytes()
+    )
+    for stacked, per_gauge in zip(
+        coll.collective_jump_operators(batch),
+        zip(*(coll.collective_jump_operators(cp) for cp in singles)),
+    ):
+        assert stacked.tobytes() == np.stack(per_gauge).tobytes()
+
+
+def test_batch_gauge_with_a_member_off_the_unit_circle_raises():
+    u, w = (np.array(column) for column in zip(*map(_weights, (0.5, 1.0, 2.0))))
+    with pytest.raises(ValueError, match="alpha"):
+        coll.CollectiveParams(u=u, w=w, alpha=np.array([1.0, 0.6, 1.0]), beta=np.array([0.0, 0.8, 0.1]))
+    with pytest.raises(ValueError, match="u\\^2"):
+        coll.CollectiveParams(u=u * [1.0, 1.0, 1.01], w=w, alpha=u, beta=w)
+
+
 def test_eta_sigma_combinations(rng):
     for _ in range(5):
         cp = _random_gauge(rng)

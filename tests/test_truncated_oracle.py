@@ -15,6 +15,7 @@ from conftest import (
     collective_rates,
     devectorize,
     random_density,
+    stack_params,
     truncated_rhs,
 )
 
@@ -79,7 +80,8 @@ def test_gamma_sweep_stack_matches_per_point_assembly():
         for gamma in np.linspace(0.25, 4.0, 7)
     ]
     assert len({tp.cp for tp in tps}) == len(tps)
-    stacked, per_point = trunc.truncated_liouvillian(tps), _per_point_generators(tps)
+    stacked = trunc.truncated_liouvillian(stack_params(tps))
+    per_point = _per_point_generators(tps)
     assert np.array_equal(stacked, per_point)
     assert stacked.tobytes() == per_point.tobytes()  # signed zeros too
 
@@ -94,7 +96,8 @@ def test_stack_with_mixed_overrides_matches_per_point_assembly():
         trunc.from_system(replace(GENERIC, delta_c=-2.0, gamma=2.0)),
         physical,
     ]
-    stacked, per_point = trunc.truncated_liouvillian(tps), _per_point_generators(tps)
+    stacked = trunc.truncated_liouvillian(stack_params(tps))
+    per_point = _per_point_generators(tps)
     assert np.array_equal(stacked, per_point)
     assert stacked.tobytes() == per_point.tobytes()  # signed zeros too
     assert trunc.truncated_liouvillian(tps[1]).tobytes() == stacked[1].tobytes()

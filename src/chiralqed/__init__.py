@@ -18,7 +18,7 @@ from .dark_state import (
     dfs_state_single,
 )
 from .dynamics import DegenerateSteadyStateError, PositivityError, steady_state
-from .fock_algebra import BasisLabel, FockCutoff, composite_operators
+from .fock_algebra import FockCutoff, composite_operators
 from .model import (
     DerivedParams,
     SystemParams,
@@ -32,7 +32,6 @@ from .truncated_oracle import TruncatedParams, truncated_liouvillian, truncated_
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisLabel",
     "CollectiveAmplitudes",
     "CollectiveParams",
     "DarkReport",

@@ -630,8 +630,10 @@ def cmd_oracle_compare(args) -> list[str]:
     _reject_overrides(ini, "oracle-compare")
     params = _parse_system(ini)
     cutoff = _parse_cutoff(args, ini)
-    rho_full = Engine("full", cutoff).solve(params).rho[0]
+    # The five-state solve goes first: it refuses an x_phase before the
+    # full engine loads scipy and factorises.
     five = Engine("truncated", cutoff).solve(params)
+    rho_full = Engine("full", cutoff).solve(params).rho[0]
     # Compare on the retained five-state block: restrict the full state there
     # rather than padding the truncated one with zeros, so the distance is not
     # dominated by small full-space coherences into the discarded states.

@@ -163,18 +163,3 @@ def embedding_isometry(cutoff: FockCutoff) -> np.ndarray:
         iso[row, column] = 1.0
     return iso
 
-
-def collective_state_vector(
-    label: str, cp: CollectiveParams, cutoff: FockCutoff | None = None
-) -> np.ndarray:
-    """A collective basis state of one gauge as a product-space vector.
-
-    With a cutoff the vector lives in the full space; without one it lives in
-    the five-state product subspace.
-    """
-    if label not in COLLECTIVE_INDEX:
-        raise ValueError(f"unknown collective label {label!r}")
-    col = basis_change_matrix(cp)[:, COLLECTIVE_INDEX[label]]
-    if cutoff is None:
-        return col
-    return embedding_isometry(cutoff) @ col

@@ -2,7 +2,8 @@
 
 The composite space is atom (x) field with a fixed ordering: the atom index
 is the slow one, so the product state |atom, n> sits at flat index
-atom_index * (n_max + 1) + n.  Every other module relies on this ordering.
+atom * (n_max + 1) + n, with g = 0 and e = 1.  Every other module relies on
+this ordering.
 """
 
 from __future__ import annotations
@@ -11,10 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-ATOM_GROUND = "g"
-ATOM_EXCITED = "e"
-_ATOM_INDEX = {ATOM_GROUND: 0, ATOM_EXCITED: 1}
 
 
 @dataclass(frozen=True)
@@ -43,50 +40,14 @@ class FockCutoff:
         return 2 * (self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """Product basis state |atom, photons> with atom in {'g', 'e'}."""
-
-    atom: str
-    photons: int
-
-    def __post_init__(self) -> None:
-        if self.atom not in _ATOM_INDEX:
-            raise ValueError(f"atom must be 'g' or 'e', got {self.atom!r}")
-        if self.photons < 0:
-            raise ValueError("photon number must be nonnegative")
-
-
-def label_to_index(label: BasisLabel, cutoff: FockCutoff) -> int:
-    """Flat index of a product basis state under the fixed ordering."""
-    if label.photons > cutoff.n_max:
-        raise ValueError(
-            f"photon number {label.photons} exceeds the cutoff {cutoff.n_max}"
-        )
-    return _ATOM_INDEX[label.atom] * cutoff.fock_dim + label.photons
-
-
-def _as_n_max(cutoff: FockCutoff | int) -> int:
-    # Bare ints below 2 are allowed here so the ladder algebra can be
-    # exercised on tiny spaces; FockCutoff itself stays strict.
-    if isinstance(cutoff, FockCutoff):
-        return cutoff.n_max
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-        raise TypeError(f"expected FockCutoff or int, got {cutoff!r}")
-    if cutoff < 0:
-        raise ValueError("n_max must be nonnegative")
-    return cutoff
-
-
-def annihilation(cutoff: FockCutoff | int) -> np.ndarray:
+def annihilation(cutoff: FockCutoff) -> np.ndarray:
     """Photon annihilation operator on the field factor alone.
 
     Matrix elements <n-1|a|n> = sqrt(n).  The top state |n_max> has nothing
     above it to be lowered from, which is the single truncation artifact;
     commutator checks must exclude that row.
     """
-    n_max = _as_n_max(cutoff)
-    amps = np.sqrt(np.arange(1, n_max + 1, dtype=float))
+    amps = np.sqrt(np.arange(1, cutoff.fock_dim, dtype=float))
     return np.diag(amps, k=1).astype(complex)
 
 
@@ -97,31 +58,15 @@ def atom_lowering() -> np.ndarray:
     return sm
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product; composite operators put the atom factor on the left."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    for m in (a, b):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("kron expects square matrices")
-    return np.kron(a, b)
-
-
-def composite_operators(cutoff: FockCutoff | int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def composite_operators(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
     """Cavity annihilation and atom lowering on the full product space.
 
-    The pair is built once per n_max and shared, so both arrays are
+    The pair is built once per cutoff and shared, so both arrays are
     read-only; copy one before writing into it.
     """
-    return _composite_operators(_as_n_max(cutoff))
-
-
-@functools.lru_cache(maxsize=8)
-def _composite_operators(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    eye_field = np.eye(n_max + 1, dtype=complex)
-    eye_atom = np.eye(2, dtype=complex)
-    a = kron(eye_atom, annihilation(n_max))
-    sm = kron(atom_lowering(), eye_field)
+    a = np.kron(np.eye(2, dtype=complex), annihilation(cutoff))
+    sm = np.kron(atom_lowering(), np.eye(cutoff.fock_dim, dtype=complex))
     a.flags.writeable = False
     sm.flags.writeable = False
     return a, sm

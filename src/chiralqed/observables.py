@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from . import collective as coll
-from .fock_algebra import BasisLabel, FockCutoff, annihilation, composite_operators, label_to_index
+from .fock_algebra import FockCutoff, composite_operators
 from .model import SystemParams
 
 MEAN_PHOTON_FLOOR = 1e-14
@@ -41,13 +41,11 @@ def _ratio(numerator: np.ndarray, n_mean: np.ndarray) -> float | None | np.ndarr
 
 
 def _cavity_number_ops(rho: np.ndarray, cutoff: FockCutoff):
-    """The cavity annihilator on rho's space: atom (x) field, or the bare field."""
+    """The cavity annihilator on rho's atom (x) field space."""
     dim = rho.shape[-1]
-    if dim == cutoff.dim:
-        return composite_operators(cutoff)[0]
-    if dim == cutoff.fock_dim:
-        return annihilation(cutoff)
-    raise ValueError(f"cutoff dimension {cutoff.dim} does not match rho ({dim})")
+    if dim != cutoff.dim:
+        raise ValueError(f"cutoff dimension {cutoff.dim} does not match rho ({dim})")
+    return composite_operators(cutoff)[0]
 
 
 def mean_photon_number(rho: np.ndarray, cutoff: FockCutoff) -> float | np.ndarray:
@@ -75,40 +73,29 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
 
 
 def population(
-    rho: np.ndarray,
-    label: BasisLabel | str,
-    cp: coll.CollectiveParams | None = None,
+    rho: np.ndarray, label: str, cp: coll.CollectiveParams | None = None
 ) -> float | np.ndarray:
-    """Population of a product state (BasisLabel) or collective state (str label).
+    """Population of the collective state `label`.
 
-    Collective labels on a full-space rho need cp to build the embedding; on a
-    5x5 collective-basis rho they read the diagonal directly.
+    On a 5x5 collective-basis rho it reads the diagonal directly; on a
+    full-space rho it needs the gauge cp to build the state vector.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[-1]
-    if isinstance(label, BasisLabel):
-        if dim % 2 != 0:
-            raise ValueError("product-state populations need the full atom (x) field space")
-        cutoff = FockCutoff(dim // 2 - 1)
-        idx = label_to_index(label, cutoff)
-        value = rho[..., idx, idx]
-    elif isinstance(label, str):
-        if label not in coll.COLLECTIVE_INDEX:
-            raise ValueError(f"unknown collective label {label!r}")
-        k = coll.COLLECTIVE_INDEX[label]
-        if dim == 5:
-            # Already in the collective basis.
-            value = rho[..., k, k]
-        else:
-            if cp is None:
-                raise ValueError("collective populations on the full space need cp")
-            if dim % 2 != 0:
-                raise ValueError("full-space rho must be atom (x) field")
-            cutoff = FockCutoff(dim // 2 - 1)
-            vec = coll.collective_state_vector(label, cp, cutoff)
-            value = vec.conj() @ rho @ vec
+    if label not in coll.COLLECTIVE_INDEX:
+        raise ValueError(f"unknown collective label {label!r}")
+    k = coll.COLLECTIVE_INDEX[label]
+    if dim == 5:
+        # Already in the collective basis.
+        value = rho[..., k, k]
     else:
-        raise TypeError(f"label must be BasisLabel or str, got {type(label).__name__}")
+        if cp is None:
+            raise ValueError("collective populations on the full space need cp")
+        if dim % 2 != 0:
+            raise ValueError("full-space rho must be atom (x) field")
+        cutoff = FockCutoff(dim // 2 - 1)
+        vec = coll.embedding_isometry(cutoff) @ coll.basis_change_matrix(cp)[:, k]
+        value = vec.conj() @ rho @ vec
     imag = np.ravel(value.imag)
     worst = imag[np.argmax(np.abs(imag))]
     if abs(worst) > 1e-12:

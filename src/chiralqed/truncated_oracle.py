@@ -52,10 +52,9 @@ class TruncatedParams:
         raise ValueError("gamma_chi must be nonnegative")
 
 
-def from_system(
-    params: SystemParams, cp: coll.CollectiveParams | None = None, **changes: np.ndarray
-) -> TruncatedParams:
-    """Physically reachable truncated parameters for a full parameter set.
+def from_system(params: SystemParams, **changes: np.ndarray) -> TruncatedParams:
+    """Physically reachable truncated parameters, in the default gauge, for a
+    full parameter set.
 
     Keyword arguments set fields of params, unchecked, to (P,) arrays; the
     result then holds (P,) fields, each element equal to the scalar
@@ -63,10 +62,6 @@ def from_system(
     vary.
     """
     dp = derive(params, **changes)
-    if cp is None:
-        cp = coll.default_gauge(dp.u, dp.w)
-    elif np.any(abs(cp.u - dp.u) > 1e-12) or np.any(abs(cp.w - dp.w) > 1e-12):
-        raise ValueError("cp weights disagree with the rates in params")
     p = {**vars(params), **changes}
     return TruncatedParams(
         g_chi=dp.g_chi,
@@ -76,7 +71,7 @@ def from_system(
         omega_c=p["omega_c"],
         omega_a=p["omega_a"],
         e_field=pump_field(p["e_mag"], p["phi_d"]),
-        cp=cp,
+        cp=coll.default_gauge(dp.u, dp.w),
     )
 
 

@@ -13,8 +13,9 @@ tautology.
 ``truncated_rhs`` is the matching reference for the five-state model: it
 applies the Hamiltonian and the bright-polariton dissipator to a density
 matrix directly, where ``chiralqed.truncated_oracle`` builds a generator.
-``index_to_label`` and ``product_to_collective`` invert library maps so the
-tests can check round trips.  ``stack_params`` makes one batch record of
+``product_index`` gives the flat index of a product state |atom, n>, and
+``product_to_collective`` inverts a library map so the tests can check round
+trips.  ``stack_params`` makes one batch record of
 one-point five-state records, and ``gauge_members`` splits a batch gauge
 into its members, so batches can be checked against their points.
 
@@ -45,7 +46,7 @@ from chiralqed import dark_state as ds
 from chiralqed import model
 from chiralqed import truncated_oracle as trunc
 from chiralqed.dynamics import _finalize, validate_density_matrix, vectorize
-from chiralqed.fock_algebra import BasisLabel, FockCutoff
+from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, derive
 
 SQRT2 = math.sqrt(2.0)
@@ -138,12 +139,11 @@ def gauge_members(cp: coll.CollectiveParams, count: int) -> list[coll.Collective
     return [coll.CollectiveParams(*member) for member in zip(*columns)]
 
 
-def index_to_label(index: int, cutoff: FockCutoff) -> BasisLabel:
-    """Inverse of chiralqed.fock_algebra.label_to_index."""
-    if not 0 <= index < cutoff.dim:
-        raise ValueError(f"index {index} out of range for dimension {cutoff.dim}")
-    atom_idx, photons = divmod(index, cutoff.fock_dim)
-    return BasisLabel(atom="ge"[atom_idx], photons=photons)
+def product_index(atom: str, photons: int, cutoff: FockCutoff) -> int:
+    """Flat index of the product state |atom, photons>, atom "g" or "e"."""
+    if atom not in ("g", "e") or not 0 <= photons <= cutoff.n_max:
+        raise ValueError(f"no product state |{atom}, {photons}> at cutoff {cutoff.n_max}")
+    return "ge".index(atom) * cutoff.fock_dim + photons
 
 
 def product_to_collective(rho5: np.ndarray, cp: coll.CollectiveParams) -> np.ndarray:

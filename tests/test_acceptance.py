@@ -65,8 +65,8 @@ def test_criterion_1_interference_point_state():
     g2 = g2_zero(rho, CUTOFF)
     pur = purity(rho)
     predicted = analytic_dark_rho(CANONICAL)
-    ground = coll.collective_state_vector("1", cp, CUTOFF)
-    antisym = coll.collective_state_vector("phi", cp, CUTOFF)
+    states = coll.embedding_isometry(CUTOFF) @ coll.basis_change_matrix(cp)
+    ground, antisym = (states[:, coll.COLLECTIVE_INDEX[label]] for label in ("1", "phi"))
     errs = (
         abs(population(rho, "1", cp) - predicted.rho_11),
         abs(population(rho, "phi", cp) - predicted.rho_phiphi),
@@ -293,7 +293,7 @@ def test_criterion_8_invariant_suite():
             worst_unitarity,
             float(np.linalg.norm(basis.conj().T @ basis - np.eye(5))),
         )
-        h5, _ = trunc.truncated_operators(trunc.from_system(generic, cp))
+        h5, _ = trunc.truncated_operators(replace(trunc.from_system(generic), cp=cp))
         u, w, al, be = cp.u, cp.w, cp.alpha, cp.beta
         oc, oa = generic.omega_c, generic.omega_a
         expected = {
@@ -314,15 +314,14 @@ def test_criterion_8_invariant_suite():
     for _ in range(3):
         t = rng.uniform(0.1, 1.4)
         cp = coll.CollectiveParams(cp0.u, cp0.w, math.cos(t), math.sin(t))
-        alt = coll.collective_to_product(
-            steady_state(trunc.truncated_liouvillian(trunc.from_system(CANONICAL, cp))), cp
-        )
+        tp = replace(trunc.from_system(CANONICAL), cp=cp)
+        alt = coll.collective_to_product(steady_state(trunc.truncated_liouvillian(tp)), cp)
         worst_gauge = max(worst_gauge, float(np.linalg.norm(reference - alt)))
 
     report = ds.dark_conditions_double(CANONICAL)
     state = report.predicted_state.as_vector()
     jump, _ = coll.collective_jump_operators(cp0)
-    h5_canonical, _ = trunc.truncated_operators(trunc.from_system(CANONICAL, cp0))
+    h5_canonical, _ = trunc.truncated_operators(trunc.from_system(CANONICAL))
     jump_norm = float(np.linalg.norm(jump @ state))
     hamiltonian_norm = float(np.linalg.norm(h5_canonical @ state))
 

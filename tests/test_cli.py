@@ -824,6 +824,7 @@ def test_figure5_matches_the_golden_file(capsys):
         ("point", "pumped_truncated.ini", "point_pumped_truncated.txt"),
         ("darkcheck", "readme.ini", "darkcheck_readme.txt"),
         ("sweep", "sweep_gamma_truncated.ini", "sweep_gamma_truncated.csv"),
+        ("sweep", "sweep_gamma_full.ini", "sweep_gamma_full.csv"),
     ],
 )
 def test_report_matches_the_golden_file(capsys, command, config, golden):
@@ -831,7 +832,10 @@ def test_report_matches_the_golden_file(capsys, command, config, golden):
     the five-state engine took their operators from truncated_operators, and
     a five-state gamma sweep, where every point has its own gauge, against
     the output written while the gauges of a sweep were a list of records.
-    readme.ini is the README's example config."""
+    The full-engine gamma sweep pins each point's collective populations in
+    its own gauge, away from the dark point, against the output written
+    while population took product-state labels.  readme.ini is the README's
+    example config."""
     assert main([command, "--config", os.path.join(DATA, config)]) == 0
     _assert_matches_golden(capsys.readouterr().out, golden)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralqed import collective as coll
+from chiralqed import observables as obs
 from chiralqed import truncated_oracle as trunc
 from chiralqed.fock_algebra import FockCutoff
 from chiralqed.model import SystemParams, build_liouvillian, derive
@@ -323,18 +324,22 @@ def test_embedding_isometry():
 def test_collective_state_vector():
     cp = coll.CollectiveParams(u=0.6, w=0.8, alpha=0.28, beta=0.96)
     # expressed in the retained product basis (g0, g1, g2, e0, e1)
-    five = coll.collective_state_vector("psi", cp)
+    basis = coll.basis_change_matrix(cp)
+    five = basis[:, coll.COLLECTIVE_INDEX["psi"]]
     np.testing.assert_allclose(five, [0, 0.6, 0, 0.8, 0], atol=1e-15)
     np.testing.assert_allclose(
-        coll.collective_state_vector("zeta", cp), [0, 0, 0.96, 0, -0.28], atol=1e-15
+        basis[:, coll.COLLECTIVE_INDEX["zeta"]], [0, 0, 0.96, 0, -0.28], atol=1e-15
     )
     cutoff = FockCutoff(4)
-    full = coll.collective_state_vector("psi", cp, cutoff)
+    full = coll.embedding_isometry(cutoff) @ five
     assert full.shape == (cutoff.dim,)
     assert full[1] == pytest.approx(0.6)  # |g,1>
     assert full[cutoff.fock_dim] == pytest.approx(0.8)  # |e,0>
+    # population reads the same vector on the full space
+    rho = np.outer(full, full.conj())
+    assert obs.population(rho, "psi", cp) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        coll.collective_state_vector("nope", cp)
+        obs.population(rho, "nope", cp)
 
 
 def test_five_state_generator_matches_projected_full():
@@ -347,6 +352,6 @@ def test_five_state_generator_matches_projected_full():
     cp = coll.from_system(p)
     lv_full = build_liouvillian(p, cutoff)
     projected = project_liouvillian_to_block(lv_full, cp, cutoff)
-    tp = trunc.from_system(p, cp)
+    tp = trunc.from_system(p)
     lv5 = trunc.truncated_liouvillian(tp)
     np.testing.assert_allclose(lv5, projected, atol=1e-12)

@@ -469,9 +469,9 @@ def test_fallback_member_matches_its_single_call(monkeypatch):
 
 def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
     # the test modules import scipy, so only a fresh interpreter shows which
-    # paths load it: the five-state engine, darkcheck and the dense solve must
-    # not, nor numpy.random, and each of the full engine's local imports must
-    # be in place
+    # paths load it: the five-state engine, darkcheck, oracle-compare's
+    # refusal of an x_phase and the dense solve must not, nor numpy.random,
+    # and each of the full engine's local imports must be in place
     readme = os.path.join(DATA, "readme.ini")
     with open(readme, encoding="utf-8") as handle:
         config = handle.read()
@@ -479,6 +479,8 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
     sweep.write_text(
         config.replace("engine = full", "engine = truncated").replace("points = 41", "points = 21")
     )
+    phased = tmp_path / "phased.ini"
+    phased.write_text(config.replace("phi_d = 0.0", "phi_d = 0.0\nx_phase = 1.3"))
 
     def run(command, *args):
         argv = [command, *args, "--out", str(tmp_path / f"{command}.txt")]
@@ -497,6 +499,7 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
         preamble
         + run("sweep", "--config", str(sweep))
         + run("darkcheck", "--config", readme)
+        + f"assert chiralqed.cli.main(['oracle-compare', '--config', {str(phased)!r}]) == 2\n"
         + "lower = np.array([[0, 1], [0, 0]], dtype=complex)\n"
         "stack = np.stack([lindblad(0.3 * (lower + lower.T), [lower]), needs_diagnosis])\n"
         "assert diagnosed(steady_state(stack)[1])\n"
@@ -580,7 +583,8 @@ def test_sparse_solve_keeps_weak_drive_g2_at_a_low_cutoff():
     a = annihilation(cut)
     ad, e = a.conj().T, cavity.e_field
     h = 0.5j * (e.conjugate() * (a @ a) - e * (ad @ ad)) + 1j * cavity.omega_c * (a - ad)
-    reference = g2_zero(steady_state(lindblad(h, [a])), cut)
+    # The atom-free cavity's state, with the atom in |g>.
+    reference = g2_zero(np.kron(np.diag([1.0, 0.0]), steady_state(lindblad(h, [a]))), cut)
     for gamma in np.linspace(0.25, 4.0, 16):
         rho = steady_state(build_liouvillian(replace(cavity, gamma=gamma), cut))
         assert g2_zero(rho, cut) == pytest.approx(reference, rel=1e-10, abs=0)

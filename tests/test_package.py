@@ -6,6 +6,7 @@ import chiralqed
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "chiralqed")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def test_every_export_is_an_attribute():
@@ -22,10 +23,54 @@ def test_readme_python_blocks_run(capsys):
     assert capsys.readouterr().out
 
 
+def _trees(directory: str) -> dict[str, ast.Module]:
+    trees = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                trees[name] = ast.parse(handle.read())
+    return trees
+
+
+def _unpassed_defaults(defining: dict[str, ast.Module], calling: list[ast.Module]) -> list[str]:
+    """file:function:parameter of each defaulted parameter of a function or
+    method in `defining` that no call in `calling` passes, by position or by
+    keyword.  Calls match by the name called; a * or ** splat passes nothing."""
+    calls = [node for tree in calling for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unpassed = []
+    for name, tree in defining.items():
+        owner = {m: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            callee = owner[fn] if fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            skip = 1 if fn in owner else 0  # self
+            defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaulted += [
+                (None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d
+            ]
+            for index, param in defaulted:
+                if not any(
+                    getattr(call.func, "id", getattr(call.func, "attr", None)) == callee
+                    and (
+                        param in [k.arg for k in call.keywords]
+                        or index is not None
+                        and index < len(call.args)
+                        and not any(isinstance(a, ast.Starred) for a in call.args[:index + 1])
+                    )
+                    for call in calls
+                ):
+                    unpassed.append(f"{name}:{fn.name}:{param}")
+    return unpassed
+
+
 def test_src_holds_no_test_only_code():
     """Each function, class and method under src/ is named somewhere there
-    besides its own definition; __init__.py does not count.  A name that only
-    the tests use belongs in tests/."""
+    besides its own definition; __init__.py does not count.  Each defaulted
+    parameter of one is passed by some call in src/ or perfbench/.  A name or
+    an input form that only the tests use belongs in tests/."""
     texts = {}
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py") and name != "__init__.py":
@@ -46,4 +91,6 @@ def test_src_holds_no_test_only_code():
             own = "\n".join(lines[start - 1:node.end_lineno])
             if sum(len(word.findall(t)) for t in texts.values()) == len(word.findall(own)):
                 unused.append(f"{name}:{node.name}")
-    assert unused == []
+    trees = _trees(SRC)
+    unpassed = _unpassed_defaults(trees, [*trees.values(), *_trees(PERFBENCH).values()])
+    assert (unused, unpassed) == ([], [])

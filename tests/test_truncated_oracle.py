@@ -53,17 +53,6 @@ def test_from_system_mapping():
     assert tp.cp.u == pytest.approx(d.u)
 
 
-def test_from_system_rejects_mismatched_gauge():
-    wrong = coll.default_gauge(*_weights(3.0))
-    with pytest.raises(ValueError):
-        trunc.from_system(GENERIC, wrong)
-
-
-def _weights(gamma: float) -> tuple[float, float]:
-    u = math.sqrt(1.0 / (1.0 + gamma))
-    return u, math.sqrt(gamma / (1.0 + gamma))
-
-
 def _per_point_generators(tps):
     """Each point's generator from its own assembly, stacked afterwards."""
     generators = []
@@ -193,10 +182,11 @@ def test_steady_state_gauge_independent(rng):
             u=d.u, w=d.w, alpha=math.cos(t), beta=math.sin(t)
         )
         rho_default = coll.collective_to_product(
-            steady_state(trunc.truncated_liouvillian(trunc.from_system(GENERIC, default))), default
+            steady_state(trunc.truncated_liouvillian(trunc.from_system(GENERIC))), default
         )
+        tp_other = replace(trunc.from_system(GENERIC), cp=other)
         rho_other = coll.collective_to_product(
-            steady_state(trunc.truncated_liouvillian(trunc.from_system(GENERIC, other))), other
+            steady_state(trunc.truncated_liouvillian(tp_other)), other
         )
         assert np.linalg.norm(rho_default - rho_other) < 1e-10
 

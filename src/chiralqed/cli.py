@@ -45,11 +45,12 @@ EXIT_NUMERICAL = 3
 DEFAULT_CUTOFF = 8
 DEFAULT_CONVERGE_CUTOFFS = (4, 6, 8, 12)
 # The largest Fock cutoff a command accepts, timed on one x86-64 Xeon core at
-# one BLAS thread for `point` at n_max = 40 (a 6724-row generator).  A weakly
-# driven point factorises only its undriven generator (36 k factor entries)
-# and takes about 0.08 s and 83 MiB peak.  A point that falls back to the
-# driven factors pays SuperLU's fill, which grows about as n_max**2.7: 2.6 M
-# entries and about 0.6 s and 134 MiB peak for the dark point with chi = 1.
+# one BLAS thread for `point` at n_max = 40 (a 6724-row generator), best of
+# three in one process.  A weakly driven point factorises only its undriven
+# generator (36-47 k factor entries) and takes about 0.05 s and 83 MiB peak.
+# A point that falls back to the driven factors pays SuperLU's fill, which
+# grows about as n_max**2.7: 2.6 M entries and about 0.6 s and 131 MiB peak
+# for the dark point with chi = 1.
 MAX_CUTOFF = 40
 # The most points a sweep accepts.  Every swept value is checked before the
 # first solve: at 100 000 points a five-state sweep takes about 7 s and 45 MiB

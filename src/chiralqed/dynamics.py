@@ -132,8 +132,18 @@ def _system(lv) -> scipy.sparse.csr_array:
     return csr
 
 
-def _factorize(system: scipy.sparse.csr_array):
-    """SuperLU's solve (MMD_AT_PLUS_A, symmetric mode) of a system; None if exactly singular."""
+def _factorize(system: scipy.sparse.csr_array, undriven: bool):
+    """SuperLU's solve (MMD_AT_PLUS_A, symmetric mode) of a system; None if exactly singular.
+
+    The undriven system L0 fills in almost nowhere, so its factors are built
+    with single-column panels and no relaxed supernodes (panel_size=1,
+    relax=1): at n_max = 16 that takes 0.7-0.9 ms where SuperLU's defaults
+    take 1.2-1.5 ms.  A driven system's own factors fill in densely, where
+    the supernodal defaults pay off (at n_max = 40, 0.44 s against 0.60 s
+    with small panels).  Both are of a CSC copy: the CSR arrays read as CSC
+    are the transpose, on whose columns partial pivoting gives L0 about 10%
+    more fill and a driven system four times as much at n_max = 40.
+    """
     from scipy.sparse.csgraph import structural_rank  # not on the dense path: 1.3 MiB
     import scipy.sparse.linalg
 
@@ -141,9 +151,10 @@ def _factorize(system: scipy.sparse.csr_array):
     # on some systems only after OpenBLAS printed errors to stdout.
     if structural_rank(system) < system.shape[0]:
         return None
+    panels = {"panel_size": 1, "relax": 1} if undriven else {}
     try:
         return scipy.sparse.linalg.splu(
-            system.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+            system.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}, **panels
         ).solve
     except RuntimeError as exc:
         if "singular" not in str(exc):
@@ -170,7 +181,7 @@ def _refine(system, solve, b: np.ndarray, tol: float) -> tuple[np.ndarray, bool]
     last = np.inf
     while True:  # each accepted step at most halves the last, so tol is reached
         step = solve(b - system @ x)
-        size = np.linalg.norm(step) / np.linalg.norm(x)
+        size = math.sqrt(np.vdot(step, step).real) / math.sqrt(np.vdot(x, x).real)
         if not size <= CONTRACTION * last:
             return x, last <= FLOAT_FLOOR
         x = x + step
@@ -187,7 +198,11 @@ def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) ->
     step settles about one more excitation level, so moves need not shrink;
     on the system's own, a step that fails to halve is noise and ends them.
     """
-    wide = system.astype(np.clongdouble)
+    import scipy.sparse
+
+    wide = scipy.sparse.csr_array(
+        (system.data.astype(np.clongdouble), system.indices, system.indptr), shape=system.shape
+    )
     x_wide = x.astype(np.clongdouble)
     last = np.inf
     for _ in range(MAX_WIDE_STEPS):
@@ -211,7 +226,8 @@ def _solve_sparse(constrained, rhs: np.ndarray, undriven=None) -> np.ndarray:
     and the steps of both columns contract; otherwise the system's own."""
     b, probe = rhs.T
     for factors in [m for m in (undriven, constrained) if m is not None]:
-        solve, own = _factorize(factors), factors is constrained
+        own = factors is constrained
+        solve = _factorize(factors, undriven=not own)
         if solve is None:
             continue
         solution, contracted = _refine(constrained, solve, b, WIDE_TOL)
@@ -250,8 +266,11 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     without fill.  F is its factors when it is structurally full rank,
     SuperLU factorises it, and every step is at most half the one before
     until below 2^-40 of x; otherwise F factorises A.  The point alone
-    decides.  The step ratio estimates the spectral radius of F^-1 (A - F),
-    which must be below 1: an estimate, not a proof of uniqueness.
+    decides.  L0's factors are built with small SuperLU panels, which its
+    sparse fill makes cheaper, and A's with SuperLU's supernodal defaults,
+    which pay off on A's dense fill (see _factorize).  The step ratio
+    estimates the spectral radius of F^-1 (A - F), which must be below 1:
+    an estimate, not a proof of uniqueness.
 
     The trace column then gets residuals from scipy's CSR product in
     np.clongdouble, with x held in long double and rounded once, until no
@@ -264,12 +283,18 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     ||L d|| below 1e-8 of || |L| |d| ||, L's componentwise scale on d) raises
     DegenerateSteadyStateError, as does an exactly singular system whose
     singular-value diagnosis (member by member) finds several.
+
+    A sparse lv with unsorted or duplicate entries is summed on a copy, so
+    the caller's arrays stay as they were given.
     """
     sparse = _issparse(lv)
     if sparse:
-        import scipy.sparse.linalg
+        import scipy.sparse
 
         lv = scipy.sparse.csr_array(lv, dtype=complex)
+        if not lv.has_canonical_format:  # summed on a copy, not in the caller's arrays
+            lv = lv.copy()
+            lv.sum_duplicates()
     else:
         lv = np.asarray(lv, dtype=complex)
     d2 = lv.shape[-1]
@@ -284,7 +309,7 @@ def steady_state(lv, undriven=None) -> np.ndarray:
         members, system = [lv], _system(lv)
         preconditioner = None if undriven is None else _system(undriven)
         both = _solve_sparse(system, rhs, preconditioner)[np.newaxis]
-        scale = np.array([scipy.sparse.linalg.norm(lv)])
+        scale = np.array([np.linalg.norm(lv.data)])  # ||L||_F: lv is canonical
         apply = lambda vecs: (lv @ vecs.T).T
     else:
         members = lv.reshape(-1, d2, d2)

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 
 from chiralqed import dynamics
 from chiralqed import truncated_oracle as trunc
@@ -169,17 +170,30 @@ L0_STRUCTURALLY_SINGULAR = SystemParams(gamma=0.0, omega_c=0.05, omega_a=0.05, e
 STRONG_DRIVE = SystemParams(chi=0.5, x_phase=0.7, omega_c=1.0, omega_a=1.0)
 
 
+# The supernode settings SuperLU gets: small panels for the undriven system,
+# SuperLU's defaults (None) for a driven system's own factors.
+SMALL_PANELS = {"panel_size": 1, "relax": 1}
+DEFAULT_PANELS = {"panel_size": None, "relax": None}
+
+
 @pytest.fixture
 def factorized(monkeypatch):
-    """(stored entries, factorised?) of each system handed to SuperLU, in order."""
-    calls = []
-    factorize = dynamics._factorize
+    """(stored entries, factorised?, SuperLU's panel settings) of each system
+    handed to SuperLU, in order; the settings are None if SuperLU never ran."""
+    calls, settings = [], []
+    factorize, splu = dynamics._factorize, scipy.sparse.linalg.splu
 
-    def spy(system):
-        solve = factorize(system)
-        calls.append((system.nnz, solve is not None))
+    def splu_spy(matrix, **options):
+        settings.append({key: options.get(key) for key in DEFAULT_PANELS})
+        return splu(matrix, **options)
+
+    def spy(system, **options):
+        settings.clear()
+        solve = factorize(system, **options)
+        calls.append((system.nnz, solve is not None, settings[0] if settings else None))
         return solve
 
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu_spy)
     monkeypatch.setattr(dynamics, "_factorize", spy)
     return calls
 
@@ -192,15 +206,22 @@ def _outcome(solve):
 
 
 @pytest.mark.parametrize(
-    "params, l0_factorized",
-    [(L0_SINGULAR, False), (L0_STRUCTURALLY_SINGULAR, False), (STRONG_DRIVE, True)],
+    "params, l0_factorized, l0_panels",
+    [
+        (L0_SINGULAR, False, SMALL_PANELS),
+        (L0_STRUCTURALLY_SINGULAR, False, None),
+        (STRONG_DRIVE, True, SMALL_PANELS),
+    ],
     ids=["l0-exactly-singular", "l0-structurally-singular", "steps-grow"],
 )
-def test_unusable_undriven_factors_fall_back_to_the_driven_ones(factorized, params, l0_factorized):
+def test_unusable_undriven_factors_fall_back_to_the_driven_ones(
+    factorized, params, l0_factorized, l0_panels
+):
     cutoff = FockCutoff(8)
     with_l0 = _outcome(lambda: _solve(params, cutoff))
-    (l0, l0_done), (driven, driven_done) = factorized
+    (l0, l0_done, l0_settings), (driven, driven_done, driven_settings) = factorized
     assert l0_done == l0_factorized and driven_done
+    assert l0_settings == l0_panels and driven_settings == DEFAULT_PANELS
     # the driven factors ran last, and gave what they give without L0
     assert driven > l0
     assert with_l0 == _outcome(lambda: _solve(params, cutoff, with_undriven=False))
@@ -388,7 +409,7 @@ def test_constrained_system_puts_the_trace_row_in_place_of_row_0(n_max):
         )
     l0 = dynamics._system(build_undriven_liouvillian(L0_STRUCTURALLY_SINGULAR, cutoff))
     assert scipy.sparse.csgraph.structural_rank(l0) < l0.shape[0]
-    assert dynamics._factorize(l0) is None
+    assert dynamics._factorize(l0, undriven=True) is None
 
 
 def test_csc_inputs_give_the_bytes_of_csr_inputs():
@@ -398,16 +419,31 @@ def test_csc_inputs_give_the_bytes_of_csr_inputs():
     assert on_csc.tobytes() == steady_state(lv, undriven=l0).tobytes()
 
 
+def _each_entry_twice(m):
+    """m's CSR arrays with each row's entries reversed and stored twice, each
+    copy holding half the value: not canonical, but summing to m exactly."""
+    m = scipy.sparse.csr_array(m, dtype=complex)
+    rows = [np.arange(a, b)[::-1] for a, b in zip(m.indptr, m.indptr[1:])]
+    order = np.concatenate([np.concatenate([row, row]) for row in rows])
+    return scipy.sparse.csr_array(
+        (0.5 * m.data[order], m.indices[order], 2 * m.indptr), shape=m.shape
+    )
+
+
 def test_steady_state_leaves_its_inputs_alone():
     cutoff = FockCutoff(6)
     for params in (DRIVEN, L0_SINGULAR, STRONG_DRIVE):
         lv = build_liouvillian(params, cutoff)
         undriven = build_undriven_liouvillian(params, cutoff)
-        before = [(m.data.copy(), m.indices.copy(), m.indptr.copy()) for m in (lv, undriven)]
-        steady_state(lv, undriven=undriven)
-        for m, arrays in zip((lv, undriven), before):
-            for now, then in zip((m.data, m.indices, m.indptr), arrays):
-                assert now.tobytes() == then.tobytes()
+        states = []
+        for inputs in ((lv, undriven), (_each_entry_twice(lv), _each_entry_twice(undriven))):
+            before = [(m.data.copy(), m.indices.copy(), m.indptr.copy()) for m in inputs]
+            states.append(steady_state(*inputs))
+            for m, arrays in zip(inputs, before):
+                for now, then in zip((m.data, m.indices, m.indptr), arrays):
+                    assert now.tobytes() == then.tobytes()
+        canonical, rho = states
+        assert np.abs(rho - canonical).max() <= 1e-15 * np.abs(canonical).max(), params
 
 
 FIVE_STATE = [

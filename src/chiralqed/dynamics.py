@@ -18,7 +18,6 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
-MAX_DIAGNOSIS_DIM = 2500
 # Refinement of a sparse solve (see _refine and _refine_wide): float64 steps
 # must shrink by CONTRACTION until below FLOAT_FLOOR of x; long-double steps
 # end once entries above GRADE_FLOOR of the largest move by WIDE_TOL or less.
@@ -71,33 +70,6 @@ def validate_density_matrix(rho: np.ndarray, context: str = "state") -> np.ndarr
 def _finalize(candidate: np.ndarray) -> np.ndarray:
     rho = 0.5 * (candidate + np.swapaxes(candidate.conj(), -1, -2))
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
-
-
-def _diagnose_degeneracy(lv) -> np.ndarray:
-    """Full singular-value diagnosis; returns the null vector if unique.
-
-    The generator is densified for the SVD, so the diagnosis is refused above
-    MAX_DIAGNOSIS_DIM rows (n_max = 24 on the full engine, a 95 MiB copy).
-    """
-    d2 = lv.shape[0]
-    if d2 > MAX_DIAGNOSIS_DIM:
-        raise DegenerateSteadyStateError(
-            f"trace-constrained generator is singular and its {d2}x{d2} size exceeds the "
-            f"{MAX_DIAGNOSIS_DIM}x{MAX_DIAGNOSIS_DIM} limit of the dense degeneracy diagnosis"
-        )
-    if _issparse(lv):
-        lv = lv.toarray()
-    u, s, vh = np.linalg.svd(lv)
-    null_count = int(np.sum(s < DEGENERACY_TOL * s[0]))
-    if null_count >= 2:
-        raise DegenerateSteadyStateError(
-            f"non-unique steady state: null-space dimension {null_count}"
-        )
-    if null_count == 0:
-        raise DegenerateSteadyStateError(
-            "no steady state found: generator has an empty null space at the working tolerance"
-        )
-    return vh[-1].conj()
 
 
 @functools.lru_cache(maxsize=4)
@@ -240,14 +212,12 @@ def _solve_sparse(constrained, rhs: np.ndarray, undriven=None) -> np.ndarray:
 
 
 def _solve_dense(constrained: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One batched LAPACK solve of a (P, d2, d2) stack; NaN for a member
-    that is exactly singular, found by solving the stack one at a time."""
+    """One batched LAPACK solve of a (P, d2, d2) stack; NaN for the whole
+    stack if any member is exactly singular."""
     try:
         return np.linalg.solve(constrained, rhs)
     except np.linalg.LinAlgError:
-        if len(constrained) == 1:
-            return np.full((1, *rhs.shape), np.nan, dtype=complex)
-        return np.concatenate([_solve_dense(c[np.newaxis], rhs) for c in constrained])
+        return np.full((len(constrained), *rhs.shape), np.nan, dtype=complex)
 
 
 def steady_state(lv, undriven=None) -> np.ndarray:
@@ -278,11 +248,18 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     (at most 12 steps); otherwise float64 residual noise would stay in the
     small entries that two-excitation populations read.
 
-    On every path, uniqueness is probed with one inverse-iteration step on
-    the same factors: a second null vector (a deflated unit candidate d with
-    ||L d|| below 1e-8 of || |L| |d| ||, L's componentwise scale on d) raises
-    DegenerateSteadyStateError, as does an exactly singular system whose
-    singular-value diagnosis (member by member) finds several.
+    A solve that is not finite, or whose residual exceeds 1e-6 of
+    max(||L||_F, 1), raises DegenerateSteadyStateError, with one message
+    alone and in a stack.  That discards no unique state: trace preservation
+    makes row 0 minus the sum of the other diagonal-position rows, so A x = 0
+    exactly when L x = 0 and tr x = 0.  A Lindblad generator's null space is
+    spanned by density matrices (Baumgartner & Narnhofer, J. Phys. A 41,
+    395303 (2008)), so a one-dimensional one holds no traceless vector and a
+    larger one always does: A is singular exactly when the steady state is
+    not unique.  On every path, uniqueness is also probed with one
+    inverse-iteration step on the same factors: a second null vector (a
+    deflated unit candidate d with ||L d|| below 1e-8 of || |L| |d| ||, L's
+    componentwise scale on d) raises DegenerateSteadyStateError too.
 
     A sparse lv with unsorted or duplicate entries is summed on a copy, so
     the caller's arrays stay as they were given.
@@ -325,16 +302,10 @@ def steady_state(lv, undriven=None) -> np.ndarray:
 
     norms = np.maximum(np.linalg.norm(solution, axis=-1), 1e-300)
     residual = np.linalg.norm(apply(solution), axis=-1) / norms
-    failed = ~np.all(np.isfinite(solution), axis=-1) | (residual > 1e-6 * np.maximum(scale, 1.0))
-    for k in np.flatnonzero(failed):
-        # The direct solve degenerated; fall back to the full diagnosis.
-        null_vec = _diagnose_degeneracy(members[k])
-        trace = trace_row @ null_vec
-        if abs(trace) < 1e-12:
-            raise DegenerateSteadyStateError(
-                "non-unique steady state: the only null vector is traceless"
-            )
-        solution[k], candidate[k] = null_vec / trace, 0.0
+    if not np.all(np.isfinite(solution)) or np.any(residual > 1e-6 * np.maximum(scale, 1.0)):
+        raise DegenerateSteadyStateError(
+            "non-unique steady state: the trace-constrained system is singular"
+        )
 
     # A near-degenerate generator amplifies a second null direction enormously
     # in the probe's solve: a deflated candidate with tiny residual betrays it.
@@ -343,7 +314,7 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     deflated = candidate - overlap * primary
     deflated_norm = np.linalg.norm(deflated, axis=-1)
     deflated /= np.maximum(deflated_norm, 1e-300)[:, np.newaxis]
-    probed = ~failed & (deflated_norm > 1e-9 * np.linalg.norm(candidate, axis=-1))
+    probed = deflated_norm > 1e-9 * np.linalg.norm(candidate, axis=-1)
     deflated_residual = np.linalg.norm(apply(deflated), axis=-1)
     # The residual is measured against L's componentwise scale on the unit
     # candidate, || |L| |d| ||, which unlike ||L||_F does not grow with the
@@ -355,7 +326,7 @@ def steady_state(lv, undriven=None) -> np.ndarray:
 
     rho = _finalize(solution.reshape(-1, dim, dim).swapaxes(1, 2))
     final_residual = np.linalg.norm(apply(rho.swapaxes(1, 2).reshape(-1, d2)), axis=-1)
-    too_large = ~failed & (final_residual > RESIDUAL_TOL * scale)
+    too_large = final_residual > RESIDUAL_TOL * scale
     if np.any(too_large):
         worst = final_residual[too_large].max()
         raise DegenerateSteadyStateError(f"steady-state residual {worst:.3e} exceeds tolerance")

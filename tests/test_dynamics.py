@@ -125,29 +125,52 @@ def test_sparse_and_dense_steady_states_agree(chi):
     )
 
 
+# The one message of a trace-constrained system that is singular, or whose
+# solve is not finite or fails the residual check.
+SINGULAR = "non-unique steady state: the trace-constrained system is singular"
+
+
+def _refusal(lv) -> str:
+    with pytest.raises(DegenerateSteadyStateError) as refused:
+        steady_state(lv)
+    return str(refused.value)
+
+
 def test_degeneracy_detected_on_sparse_and_dense_paths():
     # structurally singular once the trace row is in: SuperLU is never called
     lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(8))
     for form in (lv, lv.toarray()):
-        with pytest.raises(DegenerateSteadyStateError, match="null-space dimension"):
-            steady_state(form)
+        assert _refusal(form) == SINGULAR
 
 
-def test_exactly_singular_factor_goes_to_diagnosis():
+def test_exactly_singular_factor_raises():
     # structurally nonsingular, so SuperLU runs and reports an exact zero pivot
     lv = np.array(
         [[0, 0, 0, 0], [0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1]], dtype=complex
     )
     for form in (scipy.sparse.csr_array(lv), lv):
-        with pytest.raises(DegenerateSteadyStateError, match="null-space dimension 2"):
-            steady_state(form)
+        assert _refusal(form) == SINGULAR
 
 
-def test_degeneracy_diagnosis_refuses_large_generators():
-    # n_max = 25 gives a 2704 x 2704 generator, above the dense diagnosis limit
-    lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(25))
-    with pytest.raises(DegenerateSteadyStateError, match="2704x2704"):
-        steady_state(lv)
+def test_singular_generators_of_any_size_raise_one_message():
+    # no branch depends on the size: n_max = 25 gives a 2704 x 2704 generator
+    for n_max in (8, 25):
+        lv = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(n_max))
+        assert _refusal(lv) == SINGULAR
+
+
+def test_generators_refused_as_singular_have_several_steady_states():
+    # The SVD is the reference for the refusal: each physical generator the
+    # suite refuses as singular has a null space of dimension 2 or more, so
+    # no refusal discards a unique steady state.
+    full = build_liouvillian(SystemParams(gamma=0.0, chi=0.0), FockCutoff(8))
+    stuck = replace(trunc.from_system(SystemParams()), gamma_chi=0.0)
+    uncoupled = trunc.from_system(SystemParams(gamma=1.0, chi=1.0))
+    for lv in (full, full.toarray(), *map(trunc.truncated_liouvillian, (stuck, uncoupled))):
+        assert _refusal(lv) == SINGULAR
+        dense = lv.toarray() if scipy.sparse.issparse(lv) else lv
+        singular_values = np.linalg.svd(dense, compute_uv=False)
+        assert np.sum(singular_values < 1e-8 * singular_values[0]) >= 2
 
 
 HISTORY_CUTOFF = FockCutoff(6)
@@ -476,31 +499,23 @@ def test_degenerate_member_fails_the_stack_with_its_own_message():
 
 
 # Not a physical generator: its null space is one dimensional, spanned by
-# vec(diag(0.7, 0.3)), but its first row is not redundant, so the
-# trace-constrained system is exactly singular and only the singular-value
-# diagnosis finds the state.
-NEEDS_DIAGNOSIS = np.array(
+# vec(diag(0.7, 0.3)), but it does not preserve the trace, so its first row
+# is not minus the sum of the other diagonal-position rows and the
+# trace-constrained system is exactly singular though the state is unique.
+NOT_TRACE_PRESERVING = np.array(
     [[0.3, 0, 0, -0.7], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0]], dtype=complex
 )
 
 
-def test_fallback_member_matches_its_single_call(monkeypatch):
+def test_singular_system_raises_one_message_alone_and_in_a_stack():
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     stack = np.stack([
         lindblad(0.3 * (lower + lower.T), [lower]),
-        NEEDS_DIAGNOSIS,
+        NOT_TRACE_PRESERVING,
         lindblad(np.zeros((2, 2), dtype=complex), [lower]),
     ])
-    diagnosed = []
-    diagnose = dynamics._diagnose_degeneracy
-    monkeypatch.setattr(
-        dynamics, "_diagnose_degeneracy", lambda lv: diagnosed.append(lv) or diagnose(lv)
-    )
-    rhos = steady_state(stack)
-    assert len(diagnosed) == 1 and np.array_equal(diagnosed[0], NEEDS_DIAGNOSIS)
-    np.testing.assert_allclose(rhos[1], np.diag([0.7, 0.3]), atol=1e-15)
-    for member, rho in zip(stack, rhos):
-        assert steady_state(member).tobytes() == rho.tobytes()
+    for form in (NOT_TRACE_PRESERVING, scipy.sparse.csr_array(NOT_TRACE_PRESERVING), stack):
+        assert _refusal(form) == SINGULAR
 
 
 def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
@@ -526,10 +541,15 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
         "import sys\n"
         "import numpy as np\n"
         "import chiralqed, chiralqed.cli\n"
-        "from chiralqed.dynamics import steady_state\n"
+        "from chiralqed.dynamics import DegenerateSteadyStateError, steady_state\n"
         "from chiralqed.model import lindblad\n"
-        f"needs_diagnosis = np.array({NEEDS_DIAGNOSIS.tolist()!r})\n"
-        "diagnosed = lambda rho: np.allclose(rho, np.diag([0.7, 0.3]), atol=1e-15, rtol=0)\n"
+        f"not_trace_preserving = np.array({NOT_TRACE_PRESERVING.tolist()!r})\n"
+        "def refused(lv):\n"
+        "    try:\n"
+        "        steady_state(lv)\n"
+        "    except DegenerateSteadyStateError:\n"
+        "        return True\n"
+        "    return False\n"
     )
     five_state = (
         preamble
@@ -537,8 +557,10 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
         + run("darkcheck", "--config", readme)
         + f"assert chiralqed.cli.main(['oracle-compare', '--config', {str(phased)!r}]) == 2\n"
         + "lower = np.array([[0, 1], [0, 0]], dtype=complex)\n"
-        "stack = np.stack([lindblad(0.3 * (lower + lower.T), [lower]), needs_diagnosis])\n"
-        "assert diagnosed(steady_state(stack)[1])\n"
+        "decay = lindblad(np.zeros((2, 2), dtype=complex), [lower])\n"
+        "stack = np.stack([lindblad(0.3 * (lower + lower.T), [lower]), decay])\n"
+        "assert steady_state(stack).shape == (2, 2, 2)\n"
+        "assert refused(not_trace_preserving)\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.random'))))\n"
     )
     assert _run_fresh(five_state).strip() == "[]"
@@ -548,7 +570,7 @@ def test_five_state_and_analytic_paths_import_no_scipy(tmp_path):
         preamble
         + run("point", "--config", readme)
         + "import scipy.sparse\n"
-        "assert diagnosed(steady_state(scipy.sparse.csr_array(needs_diagnosis)))\n"
+        "assert refused(scipy.sparse.csr_array(not_trace_preserving))\n"
     )
     _run_fresh(full)
 

@@ -132,7 +132,9 @@ class Engine:
                 )
                 for p in points
             ])
-            return FullStates(rho, self.cutoff, points)
+            # One gauge, or a batch of one per point where the swept value moves it.
+            dp = derive(base, **system)
+            return FullStates(rho, coll.default_gauge(dp.u, dp.w))
         try:
             tp = dataclasses.replace(
                 trunc.from_system(base, **system), **{**self.overrides, **overrides}
@@ -220,6 +222,10 @@ class Sweep:
             )
         if not self.lo < self.hi:
             raise ConfigError("sweep range needs lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ConfigError(
+                f"sweep range [{_fmt(self.lo)}, {_fmt(self.hi)}] has no finite width"
+            )
         if self.points < 2:
             raise ConfigError("sweep needs at least 2 points")
         if self.points > MAX_SWEEP_POINTS:
@@ -304,7 +310,7 @@ def _parse_system(ini: configparser.ConfigParser) -> SystemParams:
         values["delta_c"] = delta_s + delta
         values["delta_a"] = delta_s - delta
     try:
-        return SystemParams(kappa=1.0, **values)
+        return SystemParams(**values)
     except ValueError as exc:
         raise ConfigError(f"[system] {exc}") from exc
 
@@ -380,10 +386,8 @@ def _parse_sweep(ini: configparser.ConfigParser) -> Sweep:
 
 def _system_comment_lines(params: SystemParams) -> list[str]:
     dp = derive(params)
-    return [
-        f"system.{key} = {_fmt(getattr(dp if key in ('delta_s', 'delta') else params, key))}"
-        for key in _SYSTEM_KEYS
-    ]
+    values = {**vars(params), "kappa": 1.0, "delta_s": dp.delta_s, "delta": dp.delta}
+    return [f"system.{key} = {_fmt(values[key])}" for key in _SYSTEM_KEYS]
 
 
 def _csv(
@@ -754,6 +758,7 @@ def main(argv: list[str] | None = None) -> int:
         DegenerateSteadyStateError,
         PositivityError,
         np.linalg.LinAlgError,
+        OverflowError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_algebra import FockCutoff
-from .model import SystemParams, derive
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,23 +29,17 @@ COLLECTIVE_INDEX = {label: k for k, label in enumerate(COLLECTIVE_LABELS)}
 
 @dataclass(frozen=True)
 class CollectiveAmplitudes:
-    """Pure-state amplitudes over the five collective states.
+    """Pure-state amplitudes of a dark state, which lies in the span of the
+    ground state "1" and the dark polariton "phi".
 
-    Field order puts the dark-state pair (c1, c_phi) first; as_vector
-    rearranges into the COLLECTIVE_LABELS basis order.
+    as_vector gives all five amplitudes in the COLLECTIVE_LABELS basis order.
     """
 
     c1: complex
     c_phi: complex
-    c_psi: complex = 0j
-    c_xi: complex = 0j
-    c_zeta: complex = 0j
 
     def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.c1, self.c_psi, self.c_phi, self.c_xi, self.c_zeta],
-            dtype=complex,
-        )
+        return np.array([self.c1, 0j, self.c_phi, 0j, 0j], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -85,12 +78,6 @@ def default_gauge(u: float | np.ndarray, w: float | np.ndarray) -> CollectivePar
     else:
         norm = math.hypot(u, SQRT2 * w)
     return CollectiveParams(u=u, w=w, alpha=u / norm, beta=SQRT2 * w / norm)
-
-
-def from_system(params: SystemParams) -> CollectiveParams:
-    """Default-gauge collective weights for a physical parameter set."""
-    dp = derive(params)
-    return default_gauge(dp.u, dp.w)
 
 
 # Flat positions in a 5x5 matrix of the entries basis_change_matrix fills

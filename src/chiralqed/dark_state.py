@@ -144,7 +144,7 @@ def dark_conditions_double(params: SystemParams) -> DarkReport:
 
     flags: dict[str, bool] = {
         "omega_a_equals_omega_c": _close(params.omega_a, params.omega_c),
-        "kappa_equals_gamma": _close(params.kappa, params.gamma),
+        "kappa_equals_gamma": _close(1.0, params.gamma),
         "delta_s_zero": abs(dp.delta_s)
         <= REL_TOL * max(abs(params.delta_c), abs(params.delta_a)),
         "phase_free": phase_free,

@@ -1,6 +1,8 @@
 """Physical parameters, the system Hamiltonian, and the master-equation generator.
 
-Everything is expressed in units of the right-moving cavity decay rate kappa.
+Everything is expressed in units of the right-moving cavity decay rate kappa,
+which is 1.  The generator is linear in all rates and frequencies, so a
+steady state depends only on their ratios to kappa.
 The vectorization convention is column stacking throughout the package:
 vec(A rho B) = (B^T kron A) vec(rho), so left multiplication by A is
 kron(I, A) and right multiplication by B is kron(B^T, I).
@@ -27,17 +29,18 @@ if TYPE_CHECKING:  # for annotations; the full engine's code imports scipy itsel
 class SystemParams:
     """Physical inputs for the waveguide-coupled cavity and atom.
 
-    kappa and gamma are the right-moving decay rates of the cavity and the
-    atom; chi in [0, 1] is the left/right coupling asymmetry (0 means fully
-    directional emission, 1 means symmetric).  delta_c and delta_a are the
-    cavity and atom detunings from the drive laser, omega_c and omega_a the
-    coherent drive Rabi rates, and the intracavity pair pump has complex
-    amplitude e_mag * exp(i * phi_d).  x_phase is the propagation phase
-    accumulated between the two coupling points; zero is the reference
-    placement and the generator is periodic in it with period 2 pi.
+    Every rate and frequency is in units of the cavity's right-moving decay
+    rate kappa, which is 1 and so is no field.  gamma is the atom's
+    right-moving decay rate; chi in [0, 1] is the left/right coupling
+    asymmetry (0 means fully directional emission, 1 means symmetric).
+    delta_c and delta_a are the cavity and atom detunings from the drive
+    laser, omega_c and omega_a the coherent drive Rabi rates, and the
+    intracavity pair pump has complex amplitude e_mag * exp(i * phi_d).
+    x_phase is the propagation phase accumulated between the two coupling
+    points; zero is the reference placement and the generator is periodic
+    in it with period 2 pi.
     """
 
-    kappa: float = 1.0
     gamma: float = 1.0
     chi: float = 0.0
     delta_c: float = 0.0
@@ -53,8 +56,6 @@ class SystemParams:
             value = getattr(self, field.name)
             if not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if not 0.0 <= self.chi <= 1.0:
@@ -115,11 +116,11 @@ def derive(params: SystemParams, **changes: float | np.ndarray) -> DerivedParams
     equal to the scalar result bit for bit.
     """
     p = {**vars(params), **changes}
-    kappa, gamma, chi = p["kappa"], p["gamma"], p["chi"]
-    total = kappa + gamma
-    u = _sqrt(kappa / total)
+    gamma, chi = p["gamma"], p["chi"]
+    total = 1.0 + gamma
+    u = _sqrt(1.0 / total)
     w = _sqrt(gamma / total)
-    g_chi = 0.5 * (1.0 - chi) * _sqrt(kappa * gamma)
+    g_chi = 0.5 * (1.0 - chi) * _sqrt(gamma)
     gamma_chi = (1.0 + chi) * total
     delta_s = 0.5 * (p["delta_c"] + p["delta_a"])
     delta = 0.5 * (p["delta_c"] - p["delta_a"])
@@ -200,7 +201,7 @@ def _weights(params: SystemParams) -> tuple[list[float], list[float]]:
     amplitudes alpha_c on (a, sigma): Gamma_aa, Gamma_ss, Re and Im Gamma_as.
     """
     p = cmath.rect(1.0, math.remainder(params.x_phase, math.tau))
-    root = math.sqrt(params.kappa * params.gamma)
+    root = math.sqrt(params.gamma)
     couplings = (
         0.5j * params.e_field.conjugate(),
         1j * params.omega_c,
@@ -211,8 +212,8 @@ def _weights(params: SystemParams) -> tuple[list[float], list[float]]:
     for c in couplings:
         hamiltonian += [c.real, c.imag]
     channels = (
-        (p * math.sqrt(params.kappa), math.sqrt(params.gamma)),
-        (math.sqrt(params.chi * params.kappa), p * math.sqrt(params.chi * params.gamma)),
+        (p, math.sqrt(params.gamma)),
+        (math.sqrt(params.chi), p * math.sqrt(params.chi * params.gamma)),
     )
     cross = sum(c_a * c_s.conjugate() for c_a, c_s in channels)
     rates = [
@@ -292,6 +293,7 @@ def _terms(cutoff: FockCutoff) -> _Terms:
 def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
     """Master-equation generator L with vec(rho_dot) = L vec(rho), as sparse CSR.
 
+    Rates and frequencies are in units of the cavity decay rate, kappa = 1.
     The cavity and the atom are cascaded through both waveguide directions
     (Gardiner, PRL 70, 2269 (1993); Carmichael, PRL 70, 2273 (1993)), each
     direction an SLH series product.  With p = exp(i x_phase), the

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import collective as coll
 from .fock_algebra import FockCutoff, composite_operators
-from .model import SystemParams
 
 MEAN_PHOTON_FLOOR = 1e-14
 
@@ -40,28 +39,28 @@ def _ratio(numerator: np.ndarray, n_mean: np.ndarray) -> float | None | np.ndarr
     return g2
 
 
-def _cavity_number_ops(rho: np.ndarray, cutoff: FockCutoff):
-    """The cavity annihilator on rho's atom (x) field space."""
+def _cutoff(rho: np.ndarray) -> FockCutoff:
+    """The Fock cutoff of a full-space rho, atom (x) field, read from its size."""
     dim = rho.shape[-1]
-    if dim != cutoff.dim:
-        raise ValueError(f"cutoff dimension {cutoff.dim} does not match rho ({dim})")
-    return composite_operators(cutoff)[0]
+    if dim % 2 != 0:
+        raise ValueError("full-space rho must be atom (x) field")
+    return FockCutoff(dim // 2 - 1)
 
 
-def mean_photon_number(rho: np.ndarray, cutoff: FockCutoff) -> float | np.ndarray:
+def mean_photon_number(rho: np.ndarray) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    a = _cavity_number_ops(rho, cutoff)
+    a = composite_operators(_cutoff(rho))[0]
     return _value(_trace(a.conj().T @ a @ rho))
 
 
-def g2_zero(rho: np.ndarray, cutoff: FockCutoff) -> float | None | np.ndarray:
+def g2_zero(rho: np.ndarray) -> float | None | np.ndarray:
     """Equal-time second-order coherence of the cavity mode.
 
     Returns None when the mean photon number is below MEAN_PHOTON_FLOOR,
     where the ratio stops being numerically meaningful.
     """
     rho = np.asarray(rho, dtype=complex)
-    a = _cavity_number_ops(rho, cutoff)
+    a = composite_operators(_cutoff(rho))[0]
     n_mean = _trace(a.conj().T @ a @ rho)
     pair = a @ a
     return _ratio(_trace(pair.conj().T @ pair @ rho), n_mean)
@@ -78,7 +77,12 @@ def population(
     """Population of the collective state `label`.
 
     On a 5x5 collective-basis rho it reads the diagonal directly; on a
-    full-space rho it needs the gauge cp to build the state vector.
+    full-space rho it needs the gauge cp to build the state vector v and
+    reads v†ρv.  A full-space (P, D, D) stack takes one gauge or a batch of
+    P, and is read one state at a time, as one state is: v†ρv cancels large
+    entries (for rho_psipsi at the README dark point, entries of about 4e-4
+    sum to 1.3e-10), so another summation order would move the value by
+    about 4e-10 relative.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[-1]
@@ -91,11 +95,14 @@ def population(
     else:
         if cp is None:
             raise ValueError("collective populations on the full space need cp")
-        if dim % 2 != 0:
-            raise ValueError("full-space rho must be atom (x) field")
-        cutoff = FockCutoff(dim // 2 - 1)
-        vec = coll.embedding_isometry(cutoff) @ coll.basis_change_matrix(cp)[:, k]
-        value = vec.conj() @ rho @ vec
+        iso = coll.embedding_isometry(_cutoff(rho))
+        stack = rho.shape[:-2]
+        unitaries = np.broadcast_to(coll.basis_change_matrix(cp), (*stack, 5, 5))
+        values = []
+        for state, unitary in zip(rho.reshape(-1, dim, dim), unitaries.reshape(-1, 5, 5)):
+            vec = iso @ unitary[:, k]
+            values.append(vec.conj() @ state @ vec)
+        value = np.array(values).reshape(stack)
     imag = np.ravel(value.imag)
     worst = imag[np.argmax(np.abs(imag))]
     if abs(worst) > 1e-12:
@@ -128,42 +135,30 @@ def _excited(rho: np.ndarray, sm: np.ndarray) -> np.ndarray:
     return np.trace(sm.conj().T @ sm @ rho, axis1=-2, axis2=-1).real
 
 
-class FullStates:
-    """Steady states of the full engine at a Fock cutoff, a (P, D, D) stack."""
-
-    def __init__(self, rho: np.ndarray, cutoff: FockCutoff, params: list[SystemParams]):
-        self.rho = rho
-        self._cutoff = cutoff
-        self._params = params
-
-    @functools.cached_property
-    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
-        return mean_photon_number(self.rho, self._cutoff), g2_zero(self.rho, self._cutoff)
-
-    def excited(self) -> np.ndarray:
-        return _excited(self.rho, composite_operators(self._cutoff)[1])
-
-    def population(self, label: str) -> np.ndarray:
-        """v†ρv of the collective state `label`, per point.
-
-        The product cancels large entries: for rho_psipsi at the README dark
-        point, entries of about 4e-4 sum to 1.3e-10, so the value carries
-        about 4e-10 relative rounding noise.
-        """
-        # Each point has the gauge of its own rates.
-        return np.array([
-            population(rho, label, coll.from_system(params))
-            for rho, params in zip(self.rho, self._params)
-        ])
-
-
-class FiveStates:
-    """Steady states of the five-state engine, a (P, 5, 5) collective-basis
-    stack, with one gauge for all of them or a batch of P."""
+class _States:
+    """A solved (P, D, D) stack with one gauge for all of it or a batch of P."""
 
     def __init__(self, rho: np.ndarray, cp: coll.CollectiveParams):
         self.rho = rho
         self.cp = cp
+
+    def population(self, label: str) -> np.ndarray:
+        return population(self.rho, label, self.cp)
+
+
+class FullStates(_States):
+    """Steady states of the full engine, in the atom (x) field space."""
+
+    @functools.cached_property
+    def cavity(self) -> tuple[np.ndarray, np.ndarray]:
+        return mean_photon_number(self.rho), g2_zero(self.rho)
+
+    def excited(self) -> np.ndarray:
+        return _excited(self.rho, composite_operators(_cutoff(self.rho))[1])
+
+
+class FiveStates(_States):
+    """Steady states of the five-state engine, in the collective basis."""
 
     @functools.cached_property
     def cavity(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,9 +167,6 @@ class FiveStates:
     def excited(self) -> np.ndarray:
         rho_product = coll.collective_to_product(self.rho, self.cp)
         return _excited(rho_product, coll.product_five_ops()[1])
-
-    def population(self, label: str) -> np.ndarray:
-        return population(self.rho, label)
 
 
 def _collective(label: str):

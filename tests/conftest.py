@@ -70,8 +70,9 @@ def cascade_liouvillian(params: SystemParams, n_max: int) -> np.ndarray:
     """Reference generator at the default placement (x_phase = 0).
 
     -i [H + i g (a+ s - s+ a), rho] + Gamma D[u a + w s] rho
-    with u^2 = kappa / (kappa + gamma), w^2 = gamma / (kappa + gamma),
-    g = (1 - chi) sqrt(kappa gamma) / 2 and Gamma = (1 + chi)(kappa + gamma).
+    with u^2 = 1 / (1 + gamma), w^2 = gamma / (1 + gamma),
+    g = (1 - chi) sqrt(gamma) / 2 and Gamma = (1 + chi)(1 + gamma), in units of
+    the cavity decay rate kappa = 1.
     """
     nf = n_max + 1
     a_op = np.kron(np.eye(2, dtype=complex), _destroy(nf))
@@ -86,11 +87,11 @@ def cascade_liouvillian(params: SystemParams, n_max: int) -> np.ndarray:
     h = h + 0.5j * (np.conj(e) * (a_op @ a_op) - e * (ad @ ad))
     h = h + 1j * (params.omega_c * (a_op - ad) + params.omega_a * (s_op - sp))
 
-    g_coh = 0.5 * (1.0 - params.chi) * math.sqrt(params.kappa * params.gamma)
+    g_coh = 0.5 * (1.0 - params.chi) * math.sqrt(params.gamma)
     h = h + 1j * g_coh * (ad @ s_op - sp @ a_op)
 
-    total = params.kappa + params.gamma
-    u = math.sqrt(params.kappa / total)
+    total = 1.0 + params.gamma
+    u = math.sqrt(1.0 / total)
     w = math.sqrt(params.gamma / total)
     jump = u * a_op + w * s_op
     rate = (1.0 + params.chi) * total
@@ -315,10 +316,9 @@ def _finite(**bounds) -> st.SearchStrategy[float]:
     return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
 
-# (field, value) pairs that SystemParams must reject: a nonpositive kappa, a
-# negative rate, drive or pump, and a chi outside [0, 1].
+# (field, value) pairs that SystemParams must reject: a negative rate, drive
+# or pump, and a chi outside [0, 1].
 OUT_OF_RANGE_FIELDS = st.one_of(
-    st.tuples(st.just("kappa"), _finite(max_value=0.0)),
     st.tuples(
         st.sampled_from(["gamma", "omega_c", "omega_a", "e_mag"]),
         _finite(max_value=0.0, exclude_max=True),
@@ -339,7 +339,6 @@ def rng() -> np.random.Generator:
 def dark_point() -> SystemParams:
     """Weak-drive operating point where the pair pump cancels both leakage paths."""
     return SystemParams(
-        kappa=1.0,
         gamma=1.0,
         chi=0.0,
         omega_c=0.01,

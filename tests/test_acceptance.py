@@ -34,7 +34,6 @@ CUTOFF = FockCutoff(8)
 
 # Interference point: balanced drives, matched pair pump, no detuning.
 CANONICAL = SystemParams(
-    kappa=1.0,
     gamma=1.0,
     chi=0.0,
     omega_c=0.01,
@@ -49,7 +48,7 @@ def _steady(params: SystemParams) -> np.ndarray:
 
 
 def _g2(params: SystemParams) -> float:
-    value = g2_zero(_steady(params), CUTOFF)
+    value = g2_zero(_steady(params))
     assert value is not None
     return value
 
@@ -61,8 +60,8 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_interference_point_state():
     rho = _steady(CANONICAL)
-    cp = coll.from_system(CANONICAL)
-    g2 = g2_zero(rho, CUTOFF)
+    cp = trunc.from_system(CANONICAL).cp
+    g2 = g2_zero(rho)
     pur = purity(rho)
     predicted = analytic_dark_rho(CANONICAL)
     states = coll.embedding_isometry(CUTOFF) @ coll.basis_change_matrix(cp)
@@ -95,7 +94,6 @@ def test_criterion_2_pump_phase_sweep_symmetric_coupling():
         values = []
         for phi in grid:
             p = SystemParams(
-                kappa=1.0,
                 gamma=1.0,
                 chi=1.0,
                 delta_c=1.0,
@@ -134,7 +132,6 @@ def test_criterion_3_detuning_dip_depth_and_drive_scaling():
         values = []
         for d in grid:
             p = SystemParams(
-                kappa=1.0,
                 gamma=1.0,
                 chi=0.0,
                 delta_c=float(d),
@@ -232,7 +229,7 @@ def test_criterion_6_bright_population_vanishes_on_resonance():
 
 def test_criterion_7_five_state_model_vs_full_engine():
     rho = _steady(CANONICAL)
-    cp = coll.from_system(CANONICAL)
+    cp = trunc.from_system(CANONICAL).cp
     iso = coll.embedding_isometry(CUTOFF)
     block = iso.conj().T @ rho @ iso
     rho5 = coll.collective_to_product(
@@ -257,7 +254,6 @@ def test_criterion_7_five_state_model_vs_full_engine():
 def test_criterion_8_invariant_suite():
     rng = np.random.default_rng(20240816)
     generic = SystemParams(
-        kappa=1.0,
         gamma=0.9,
         chi=0.25,
         delta_c=0.3,
@@ -280,8 +276,8 @@ def test_criterion_8_invariant_suite():
 
     worst_unitarity = 0.0
     worst_transcription = 0.0
-    cp0 = coll.from_system(CANONICAL)
-    cp_generic = coll.from_system(generic)
+    cp0 = trunc.from_system(CANONICAL).cp
+    cp_generic = trunc.from_system(generic).cp
     sqrt2 = math.sqrt(2.0)
     for _ in range(10):
         t = rng.uniform(0.0, 2.0 * math.pi)
@@ -373,7 +369,6 @@ def test_criterion_8_invariant_suite():
 
 def test_criterion_9_collective_generator_matches_projection():
     p = SystemParams(
-        kappa=1.0,
         gamma=0.8,
         chi=0.3,
         delta_c=0.5,
@@ -384,7 +379,7 @@ def test_criterion_9_collective_generator_matches_projection():
         phi_d=0.8,
     )
     cutoff = FockCutoff(6)
-    cp = coll.from_system(p)
+    cp = trunc.from_system(p).cp
     lv5 = trunc.truncated_liouvillian(trunc.from_system(p))
     projected = project_liouvillian_to_block(
         build_liouvillian(p, cutoff), cp, cutoff

@@ -92,7 +92,7 @@ def test_eta_sigma_combinations(rng):
 
 def test_from_system_matches_derived():
     p = SystemParams(gamma=0.7)
-    cp = coll.from_system(p)
+    cp = trunc.from_system(p).cp
     d = derive(p)
     assert cp.u == pytest.approx(d.u)
     assert cp.w == pytest.approx(d.w)
@@ -345,11 +345,11 @@ def test_collective_state_vector():
 def test_five_state_generator_matches_projected_full():
     """The effective five-state generator is the compressed product generator."""
     p = SystemParams(
-        kappa=1.0, gamma=0.8, chi=0.3, delta_c=0.5, delta_a=-0.3,
+        gamma=0.8, chi=0.3, delta_c=0.5, delta_a=-0.3,
         omega_c=0.04, omega_a=0.03, e_mag=2e-3, phi_d=0.8,
     )
     cutoff = FockCutoff(6)
-    cp = coll.from_system(p)
+    cp = trunc.from_system(p).cp
     lv_full = build_liouvillian(p, cutoff)
     projected = project_liouvillian_to_block(lv_full, cp, cutoff)
     tp = trunc.from_system(p)

@@ -31,10 +31,6 @@ CUTOFF = FockCutoff(3)
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SystemParams(kappa=0.0)
-    with pytest.raises(ValueError):
-        SystemParams(kappa=-1.0)
-    with pytest.raises(ValueError):
         SystemParams(gamma=-0.5)
     with pytest.raises(ValueError):
         SystemParams(chi=1.5)
@@ -71,7 +67,7 @@ def test_e_field_polar_form():
 
 
 def test_derive_symmetric_point():
-    d = derive(SystemParams(kappa=1.0, gamma=1.0, chi=0.0))
+    d = derive(SystemParams(gamma=1.0, chi=0.0))
     assert d.u == pytest.approx(1 / math.sqrt(2))
     assert d.w == pytest.approx(1 / math.sqrt(2))
     assert d.g_chi == 0.5
@@ -79,7 +75,7 @@ def test_derive_symmetric_point():
 
 
 def test_derive_symmetric_coupling_vanishes():
-    d = derive(SystemParams(kappa=1.0, gamma=1.0, chi=1.0))
+    d = derive(SystemParams(gamma=1.0, chi=1.0))
     assert d.g_chi == 0.0
     assert d.gamma_chi == 4.0
 
@@ -137,7 +133,6 @@ def test_hamiltonian_pump_element():
 def test_hamiltonian_hermitian(seed):
     rng = np.random.default_rng(seed)
     p = SystemParams(
-        kappa=1.0,
         gamma=float(rng.uniform(0.1, 3.0)),
         chi=float(rng.uniform(0.0, 1.0)),
         delta_c=float(rng.uniform(-2.0, 2.0)),
@@ -208,7 +203,6 @@ def test_liouvillian_preserves_hermiticity(rng):
 def test_liouvillian_matches_cascade_form(chi):
     """Local-plus-cross assembly against the independent jump-operator form."""
     p = SystemParams(
-        kappa=1.0,
         gamma=0.8,
         chi=chi,
         delta_c=0.6,
@@ -292,7 +286,7 @@ def test_directional_coupling_is_cascaded():
 
 def test_symmetric_coupling_has_no_coherent_exchange():
     """chi = 1 kills the bright/dark coupling but doubles the decay."""
-    p = SystemParams(kappa=1.0, gamma=1.0, chi=1.0, omega_c=0.05)
+    p = SystemParams(gamma=1.0, chi=1.0, omega_c=0.05)
     d = derive(p)
     assert d.g_chi == 0.0
     lv = build_liouvillian(p, CUTOFF).toarray()
@@ -310,12 +304,12 @@ def _direct_liouvillian(p: SystemParams, cutoff: FockCutoff) -> np.ndarray:
     h = h + 0.5j * (e.conjugate() * (a @ a) - e * (ad @ ad))
     h = h + 1j * (p.omega_c * a + p.omega_a * sm) - 1j * (p.omega_c * ad + p.omega_a * sp)
     phase = cmath.rect(1.0, math.remainder(p.x_phase, math.tau))
-    root = math.sqrt(p.kappa * p.gamma)
+    root = math.sqrt(p.gamma)
     h = h - 0.5j * root * (phase * (sp @ a) - phase.conjugate() * (ad @ sm))
     h = h - 0.5j * p.chi * root * (phase * (ad @ sm) - phase.conjugate() * (sp @ a))
-    jumps = [math.sqrt(p.gamma) * sm + phase * math.sqrt(p.kappa) * a]
+    jumps = [math.sqrt(p.gamma) * sm + phase * a]
     if p.chi > 0:
-        jumps.append(math.sqrt(p.chi * p.kappa) * a + phase * math.sqrt(p.chi * p.gamma) * sm)
+        jumps.append(math.sqrt(p.chi) * a + phase * math.sqrt(p.chi * p.gamma) * sm)
     return lindblad(h, jumps)
 
 

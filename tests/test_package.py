@@ -32,45 +32,77 @@ def _trees(directory: str) -> dict[str, ast.Module]:
     return trees
 
 
+def _defaulted(tree: ast.Module) -> list[tuple[str, int | None, str, bool]]:
+    """(callee, index, name, is_field) of each defaulted parameter of a
+    function or method in tree, and of each defaulted field of a dataclass
+    there.  index is the position a call passes it at, None for a
+    keyword-only one."""
+    owner = {m: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
+    defaulted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            defaulted += [
+                (node.name, i, f.target.id, True)
+                for i, f in enumerate(fields)
+                if f.value is not None
+            ]
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        callee = owner[node] if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        skip = 1 if node in owner else 0  # self
+        defaulted += [
+            (callee, i - skip, p.arg, False) for i, p in enumerate(positional) if i >= first
+        ]
+        defaulted += [
+            (callee, None, p.arg, False)
+            for p, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+            if d
+        ]
+    return defaulted
+
+
 def _unpassed_defaults(defining: dict[str, ast.Module], calling: list[ast.Module]) -> list[str]:
-    """file:function:parameter of each defaulted parameter of a function or
-    method in `defining` that no call in `calling` passes, by position or by
-    keyword.  Calls match by the name called; a * or ** splat passes nothing."""
+    """file:callee:parameter of each defaulted parameter or dataclass field
+    in `defining` that no call in `calling` passes, by position or by
+    keyword.  Calls match by the name called; a * or ** splat passes
+    nothing, and a dataclass that some call builds from a ** splat is
+    skipped."""
     calls = [node for tree in calling for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def called(call: ast.Call) -> str | None:
+        return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+    splatted = {called(call) for call in calls if any(k.arg is None for k in call.keywords)}
     unpassed = []
     for name, tree in defining.items():
-        owner = {m: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
+        for callee, index, param, is_field in _defaulted(tree):
+            if is_field and callee in splatted:
                 continue
-            callee = owner[fn] if fn.name == "__init__" else fn.name
-            positional = fn.args.posonlyargs + fn.args.args
-            first = len(positional) - len(fn.args.defaults)
-            skip = 1 if fn in owner else 0  # self
-            defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
-            defaulted += [
-                (None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d
-            ]
-            for index, param in defaulted:
-                if not any(
-                    getattr(call.func, "id", getattr(call.func, "attr", None)) == callee
-                    and (
-                        param in [k.arg for k in call.keywords]
-                        or index is not None
-                        and index < len(call.args)
-                        and not any(isinstance(a, ast.Starred) for a in call.args[:index + 1])
-                    )
-                    for call in calls
-                ):
-                    unpassed.append(f"{name}:{fn.name}:{param}")
+            if not any(
+                called(call) == callee
+                and (
+                    param in [k.arg for k in call.keywords]
+                    or index is not None
+                    and index < len(call.args)
+                    and not any(isinstance(a, ast.Starred) for a in call.args[:index + 1])
+                )
+                for call in calls
+            ):
+                unpassed.append(f"{name}:{callee}:{param}")
     return unpassed
 
 
 def test_src_holds_no_test_only_code():
     """Each function, class and method under src/ is named somewhere there
     besides its own definition; __init__.py does not count.  Each defaulted
-    parameter of one is passed by some call in src/ or perfbench/.  A name or
-    an input form that only the tests use belongs in tests/."""
+    parameter of one, and each defaulted field of a dataclass, is passed by
+    some call in src/ or perfbench/.  A name, an input form or a settable
+    value that only the tests use belongs in tests/."""
     texts = {}
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py") and name != "__init__.py":

@@ -22,7 +22,7 @@ from conftest import (
 SQRT2 = math.sqrt(2.0)
 
 GENERIC = SystemParams(
-    kappa=1.0, gamma=0.9, chi=0.25, delta_c=0.3, delta_a=-0.2,
+    gamma=0.9, chi=0.25, delta_c=0.3, delta_a=-0.2,
     omega_c=0.05, omega_a=0.03, e_mag=2e-3, phi_d=0.4,
 )
 

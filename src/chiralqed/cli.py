@@ -125,13 +125,17 @@ class Engine:
                 dataclasses.replace(base, **_changes(base, parameter, value)[0])
                 for value in values.tolist()
             ]
-            rho = np.stack([
-                steady_state(
-                    build_liouvillian(p, self.cutoff),
-                    undriven=build_undriven_liouvillian(p, self.cutoff),
-                )
-                for p in points
-            ])
+            try:
+                rho = np.stack([
+                    steady_state(
+                        build_liouvillian(p, self.cutoff),
+                        undriven=build_undriven_liouvillian(p, self.cutoff),
+                    )
+                    for p in points
+                ])
+            except OverflowError as exc:
+                # The generator's norm grows with the cutoff this config chose.
+                raise ConfigError(f"rates too large at cutoff {self.cutoff.n_max}: {exc}") from exc
             # One gauge, or a batch of one per point where the swept value moves it.
             dp = derive(base, **system)
             return FullStates(rho, coll.default_gauge(dp.u, dp.w))
@@ -157,7 +161,8 @@ def _changes(base: SystemParams, parameter: str, values):
     if parameter == "delta_s":
         # Move the sum detuning while freezing the difference.
         delta = derive(base).delta
-        return {"delta_c": values + delta, "delta_a": values - delta}, {}
+        with np.errstate(over="ignore"):  # _swept refuses an overflowed value
+            return {"delta_c": values + delta, "delta_a": values - delta}, {}
     return {parameter: values}, {}
 
 
@@ -557,7 +562,10 @@ def _polar_lines(name: str, value: complex) -> list[str]:
 
 
 def _report_lines_dark(params: SystemParams) -> list[str]:
-    report = dark_conditions_double(params)
+    try:
+        report = dark_conditions_double(params)
+    except ValueError as exc:  # a collective rate overflows
+        raise ConfigError(f"[system] {exc}") from exc
     lines = []
     for flag, state in report.condition_flags.items():
         lines.append(f"flag.{flag} = {'true' if state else 'false'}")

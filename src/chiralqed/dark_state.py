@@ -133,8 +133,9 @@ def dfs_requirements_double(params: SystemParams) -> tuple[complex, complex]:
 def dark_conditions_double(params: SystemParams) -> DarkReport:
     """Evaluate every scalar dark-state condition and the numerical residuals.
 
-    Never raises: off-condition parameter sets come back with False flags and
-    nonzero residuals so callers can rank near-dark operating points.
+    Off-condition parameter sets come back with False flags and nonzero
+    residuals so callers can rank near-dark operating points.  Raises
+    ValueError only where a collective rate, such as gamma_chi, overflows.
     """
     dp = derive(params)
 

@@ -17,6 +17,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
+# The smallest gap of the undriven generator, in units of kappa, that
+# certifies a point solved on its factors as unique (see steady_state).
+GAP_MARGIN = 1e-3
 RESIDUAL_TOL = 1e-10
 # Refinement of a sparse solve (see _refine and _refine_wide): float64 steps
 # must shrink by CONTRACTION until below FLOAT_FLOOR of x; long-double steps
@@ -104,7 +107,35 @@ def _system(lv) -> scipy.sparse.csr_array:
     return csr
 
 
-def _factorize(system: scipy.sparse.csr_array, undriven: bool):
+def _undriven_gap(system: scipy.sparse.csr_array) -> float:
+    """The gap of the undriven generator L0, -Re of its nonzero eigenvalue
+    nearest zero, in closed form from L0's constrained system.
+
+    L0 conserves the excitation number on each side of rho and its jumps
+    only lower it, so its eigenvalues are mu + conj(mu') over eigenvalues
+    mu, mu' of X = -i H_eff, and the gap is min -Re mu over X's sectors of
+    one or more excitations.  For i, k < D, L0[i, k] = X[i, k]: X's vacuum
+    row and the jumps' vacuum-bra entries are zero.  Sector n (1..n_max) is
+    the 2x2 block on |n, g> (index n) and |n - 1, e> (index n_max + n); the
+    top sector |n_max, e> is 1x1.  Row 0, the trace row, is never read.
+    """
+    dim = math.isqrt(system.shape[0])
+    n = np.arange(1, dim // 2)
+    e = n + dim // 2 - 1  # |n - 1, e>
+    stop = system.indptr[dim]
+    rows = np.repeat(np.arange(dim), np.diff(system.indptr[:dim + 1]))
+    cols = system.indices[:stop]
+    keep = cols < dim
+    x = np.zeros(dim * dim, dtype=complex)
+    np.add.at(x, rows[keep] * dim + cols[keep], system.data[:stop][keep])
+    x = x.reshape(dim, dim)
+    a, b, c, d = x[n, n], x[n, e], x[e, n], x[e, e]
+    # The eigenvalues are m +- s; numpy's principal root has Re s >= 0.
+    m, s = 0.5 * (a + d), np.sqrt(0.25 * (a - d) ** 2 + b * c)
+    return min(float(np.min(-m.real - s.real)), -x[-1, -1].real)
+
+
+def _factorize(system: scipy.sparse.csr_array, undriven: bool, certified: bool = False):
     """SuperLU's solve (MMD_AT_PLUS_A, symmetric mode) of a system; None if exactly singular.
 
     The undriven system L0 fills in almost nowhere, so its factors are built
@@ -115,14 +146,18 @@ def _factorize(system: scipy.sparse.csr_array, undriven: bool):
     with small panels).  Both are of a CSC copy: the CSR arrays read as CSC
     are the transpose, on whose columns partial pivoting gives L0 about 10%
     more fill and a driven system four times as much at n_max = 40.
+    A certified system, an undriven one whose gap is at least GAP_MARGIN, is
+    nonsingular, so its structural rank is not checked.
     """
-    from scipy.sparse.csgraph import structural_rank  # not on the dense path: 1.3 MiB
     import scipy.sparse.linalg
 
-    # A structurally singular system is exactly singular, which SuperLU says
-    # on some systems only after OpenBLAS printed errors to stdout.
-    if structural_rank(system) < system.shape[0]:
-        return None
+    if not certified:
+        from scipy.sparse.csgraph import structural_rank  # not on the dense path: 1.3 MiB
+
+        # A structurally singular system is exactly singular, which SuperLU says
+        # on some systems only after OpenBLAS printed errors to stdout.
+        if structural_rank(system) < system.shape[0]:
+            return None
     panels = {"panel_size": 1, "relax": 1} if undriven else {}
     try:
         return scipy.sparse.linalg.splu(
@@ -191,23 +226,26 @@ def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) ->
     return x
 
 
-def _solve_sparse(constrained, rhs: np.ndarray, undriven=None) -> np.ndarray:
-    """Refined solutions of a constrained system for the two columns of rhs,
-    the trace constraint and the probe; NaN if the system is singular.  The
+def _solve_sparse(constrained, rhs: np.ndarray, undriven, certified: bool) -> np.ndarray:
+    """Refined solutions of a constrained system for the columns of rhs, the
+    trace constraint and the probe; NaN if the system is singular.  The
     factors are the undriven system's if it is given, SuperLU factorises it,
-    and the steps of both columns contract; otherwise the system's own."""
+    and the steps of both columns contract; otherwise the system's own.  On
+    a certified undriven system's factors the probe is not solved, and the
+    result is the trace column alone."""
     b, probe = rhs.T
     for factors in [m for m in (undriven, constrained) if m is not None]:
         own = factors is constrained
-        solve = _factorize(factors, undriven=not own)
+        unprobed = certified and not own
+        solve = _factorize(factors, undriven=not own, certified=unprobed)
         if solve is None:
             continue
         solution, contracted = _refine(constrained, solve, b, WIDE_TOL)
-        if contracted or own:
+        if contracted and not unprobed or own:
             candidate, contracted = _refine(constrained, solve, probe, FLOAT_FLOOR)
         if contracted or own:
             solution = _refine_wide(constrained, solve, b, solution, undriven=not own)
-            return np.stack([solution, candidate], axis=-1)
+            return np.stack([solution] if unprobed else [solution, candidate], axis=-1)
     return np.full(rhs.shape, np.nan, dtype=complex)
 
 
@@ -233,12 +271,13 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     undriven, taken only with a sparse lv, is the same point's generator L0
     without drives and pair pump (model.build_undriven_liouvillian), which
     is block-triangular in the excitation number and factorises almost
-    without fill.  F is its factors when it is structurally full rank,
-    SuperLU factorises it, and every step is at most half the one before
-    until below 2^-40 of x; otherwise F factorises A.  The point alone
-    decides.  L0's factors are built with small SuperLU panels, which its
-    sparse fill makes cheaper, and A's with SuperLU's supernodal defaults,
-    which pay off on A's dense fill (see _factorize).  The step ratio
+    without fill.  F is its factors when it is structurally full rank (or
+    certified, below), SuperLU factorises it, and every step is at most
+    half the one before until below 2^-40 of x; otherwise F factorises A.
+    The point alone decides.  L0's factors are built with small SuperLU
+    panels, which its sparse fill makes cheaper, and A's with SuperLU's
+    supernodal defaults, which pay off on A's dense fill (see _factorize).
+    The step ratio
     estimates the spectral radius of F^-1 (A - F), which must be below 1:
     an estimate, not a proof of uniqueness.
 
@@ -256,10 +295,26 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     spanned by density matrices (Baumgartner & Narnhofer, J. Phys. A 41,
     395303 (2008)), so a one-dimensional one holds no traceless vector and a
     larger one always does: A is singular exactly when the steady state is
-    not unique.  On every path, uniqueness is also probed with one
-    inverse-iteration step on the same factors: a second null vector (a
-    deflated unit candidate d with ||L d|| below 1e-8 of || |L| |d| ||, L's
-    componentwise scale on d) raises DegenerateSteadyStateError too.
+    not unique.  Uniqueness is also probed with one inverse-iteration step
+    on the same factors: a second null vector (a deflated unit candidate d
+    with ||L d|| below 1e-8 of || |L| |d| ||, L's componentwise scale on d)
+    raises DegenerateSteadyStateError too.
+
+    The probe runs on every path but one: a point whose trace column
+    contracted on L0's factors, where L0's gap, read in closed form from
+    its 2x2 excitation sectors (_undriven_gap), is at least GAP_MARGIN.
+    Steps that contract by half estimate the spectral radius of
+    F^-1 (A - F) at most 1/2, so A = F (I + F^-1 (A - F)) is nonsingular
+    and, by the argument above, the steady state unique.  That estimate
+    can be fooled only where F itself is nearly singular, which the gap
+    rules out; such a certified L0 is nonsingular, and its structural rank
+    is not checked.  The probe's column never reaches a state; only its
+    steps, where they fail to halve, send an uncertified point on to A's
+    own factors, whose state agrees to rounding (README gives the margin's
+    evidence).
+
+    A generator whose ||L||_F times D is beyond the square root of the
+    float64 range raises OverflowError: the gates' norms would overflow.
 
     A sparse lv with unsorted or duplicate entries is summed on a copy, so
     the caller's arrays stay as they were given.
@@ -282,23 +337,31 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     if undriven is not None and (not sparse or undriven.shape != lv.shape):
         raise ValueError("undriven is taken only with a sparse lv of the same shape")
     trace_row, rhs = _constants(d2)
-    if sparse:
-        members, system = [lv], _system(lv)
-        preconditioner = None if undriven is None else _system(undriven)
-        both = _solve_sparse(system, rhs, preconditioner)[np.newaxis]
-        scale = np.array([np.linalg.norm(lv.data)])  # ||L||_F: lv is canonical
-        apply = lambda vecs: (lv @ vecs.T).T
-    else:
-        members = lv.reshape(-1, d2, d2)
-        constrained = members.copy()
-        constrained[:, 0, :] = trace_row
-        both = _solve_dense(constrained, rhs)
-        # ||L||_F as np.linalg.norm computes it, with the solved system's
-        # memory for the (P, d2, d2) products in place of two new arrays.
-        squares = np.multiply(np.conjugate(members, out=constrained), members, out=constrained)
-        scale = np.sqrt(np.add.reduce(squares.real, axis=(1, 2)))
-        apply = lambda vecs: (members @ vecs[..., np.newaxis])[..., 0]
-    solution, candidate = both[..., 0], both[..., 1]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        if sparse:
+            members, system = [lv], _system(lv)
+            preconditioner = None if undriven is None else _system(undriven)
+            certified = preconditioner is not None and _undriven_gap(preconditioner) >= GAP_MARGIN
+            both = _solve_sparse(system, rhs, preconditioner, certified)[np.newaxis]
+            scale = np.array([np.linalg.norm(lv.data)])  # ||L||_F: lv is canonical
+            apply = lambda vecs: (lv @ vecs.T).T
+        else:
+            members = lv.reshape(-1, d2, d2)
+            constrained = members.copy()
+            constrained[:, 0, :] = trace_row
+            both = _solve_dense(constrained, rhs)
+            # ||L||_F as np.linalg.norm computes it, with the solved system's
+            # memory for the (P, d2, d2) products in place of two new arrays.
+            squares = np.multiply(np.conjugate(members, out=constrained), members, out=constrained)
+            scale = np.sqrt(np.add.reduce(squares.real, axis=(1, 2)))
+            apply = lambda vecs: (members @ vecs[..., np.newaxis])[..., 0]
+    # The gates below compare norms of L applied to vectors of at most D^2
+    # entries of order 1, which reach (D ||L||_F)^2 as sums of squares.
+    if not np.all(dim * scale <= math.sqrt(np.finfo(float).max)):
+        raise OverflowError(
+            f"||L||_F = {np.max(scale):.3e} overflows the float64 norms of a {d2}-row generator"
+        )
+    solution = both[..., 0]
 
     norms = np.maximum(np.linalg.norm(solution, axis=-1), 1e-300)
     residual = np.linalg.norm(apply(solution), axis=-1) / norms
@@ -307,22 +370,27 @@ def steady_state(lv, undriven=None) -> np.ndarray:
             "non-unique steady state: the trace-constrained system is singular"
         )
 
-    # A near-degenerate generator amplifies a second null direction enormously
-    # in the probe's solve: a deflated candidate with tiny residual betrays it.
-    primary = solution / np.linalg.norm(solution, axis=-1, keepdims=True)
-    overlap = np.sum(primary.conj() * candidate, axis=-1, keepdims=True)
-    deflated = candidate - overlap * primary
-    deflated_norm = np.linalg.norm(deflated, axis=-1)
-    deflated /= np.maximum(deflated_norm, 1e-300)[:, np.newaxis]
-    probed = deflated_norm > 1e-9 * np.linalg.norm(candidate, axis=-1)
-    deflated_residual = np.linalg.norm(apply(deflated), axis=-1)
-    # The residual is measured against L's componentwise scale on the unit
-    # candidate, || |L| |d| ||, which unlike ||L||_F does not grow with the
-    # cutoff.  It is at most ||L||_F, so only members below that bound need it.
-    for k in np.flatnonzero(probed & (deflated_residual < DEGENERACY_TOL * scale)):
-        margin = np.linalg.norm(abs(members[k]) @ np.abs(deflated[k]))
-        if deflated_residual[k] < DEGENERACY_TOL * margin:
-            raise DegenerateSteadyStateError("non-unique steady state: found a second null vector")
+    if both.shape[-1] > 1:
+        # A near-degenerate generator amplifies a second null direction
+        # enormously in the probe's solve: a deflated candidate with tiny
+        # residual betrays it.
+        candidate = both[..., 1]
+        primary = solution / np.linalg.norm(solution, axis=-1, keepdims=True)
+        overlap = np.sum(primary.conj() * candidate, axis=-1, keepdims=True)
+        deflated = candidate - overlap * primary
+        deflated_norm = np.linalg.norm(deflated, axis=-1)
+        deflated /= np.maximum(deflated_norm, 1e-300)[:, np.newaxis]
+        probed = deflated_norm > 1e-9 * np.linalg.norm(candidate, axis=-1)
+        deflated_residual = np.linalg.norm(apply(deflated), axis=-1)
+        # The residual is measured against L's componentwise scale on the unit
+        # candidate, || |L| |d| ||, which unlike ||L||_F does not grow with the
+        # cutoff.  It is at most ||L||_F, so only members below that bound need it.
+        for k in np.flatnonzero(probed & (deflated_residual < DEGENERACY_TOL * scale)):
+            margin = np.linalg.norm(abs(members[k]) @ np.abs(deflated[k]))
+            if deflated_residual[k] < DEGENERACY_TOL * margin:
+                raise DegenerateSteadyStateError(
+                    "non-unique steady state: found a second null vector"
+                )
 
     rho = _finalize(solution.reshape(-1, dim, dim).swapaxes(1, 2))
     final_residual = np.linalg.norm(apply(rho.swapaxes(1, 2).reshape(-1, d2)), axis=-1)

@@ -286,6 +286,43 @@ def test_overflowing_drive_exits_numerical(tmp_path, capsys):
     assert result.stderr.splitlines()[-1].startswith("numerical failure:")
 
 
+def _run_cli(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process, where numpy's warnings reach stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "chiralqed.cli", *argv],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        (
+            ["darkcheck"],
+            "[system]\ngamma = 1e308\nchi = 1.0\nomega_c = 0.01\n",
+            "[system] gamma_chi must be finite, got inf",
+        ),
+        (
+            ["point", "--cutoff", "4"],
+            "[system]\nomega_c = 1e152\nomega_a = 1e152\n",
+            "rates too large at cutoff 4: ||L||_F = 3.162e+153 overflows the float64 norms"
+            " of a 100-row generator",
+        ),
+        (
+            ["sweep"],
+            "[system]\ndelta_c = 1e308\nomega_c = 0.01\n"
+            "[sweep]\nparameter = delta_s\nlo = 0.0\nhi = 1.7e308\npoints = 3\n",
+            "swept value 1.7e+308: delta_c must be finite, got inf",
+        ),
+    ],
+    ids=["darkcheck-collective-rate", "point-generator-norm", "sweep-detuning-sum"],
+)
+def test_overflowing_input_is_one_config_error_line(tmp_path, command, body, message):
+    result = _run_cli(*command, "--config", _write(tmp_path, body))
+    expected = (2, "", f"config error: {message}\n")
+    assert (result.returncode, result.stdout, result.stderr) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_SYSTEM_KEYS), st.sampled_from(["nan", "inf", "-inf"]))
 def test_point_rejects_non_finite_config_value(key, raw):

@@ -288,6 +288,112 @@ def test_undriven_and_driven_factors_give_the_same_state(factorized, points, n_m
         assert np.abs(rho - direct).max() <= 1e-15 * np.abs(direct).max(), params
 
 
+def _l0_gap(params, cutoff):
+    return dynamics._undriven_gap(dynamics._system(build_undriven_liouvillian(params, cutoff)))
+
+
+def test_undriven_gap_matches_dense_eigenvalues():
+    rng = np.random.default_rng(26)
+    for n_max in (3, 4, 5, 6):
+        for _ in range(4):
+            params = SystemParams(
+                gamma=rng.uniform(0.1, 3.0), chi=rng.uniform(0.05, 0.95),
+                delta_c=rng.uniform(-2.0, 2.0), delta_a=rng.uniform(-2.0, 2.0),
+                x_phase=rng.uniform(-3.0, 3.0), omega_c=0.1, e_mag=0.01,
+            )
+            cutoff = FockCutoff(n_max)
+            dense = build_undriven_liouvillian(params, cutoff).toarray()
+            rates = np.sort(-np.linalg.eigvals(dense).real)
+            assert abs(rates[0]) < 1e-12  # the vacuum
+            assert abs(_l0_gap(params, cutoff) - rates[1]) < 1e-10, params
+    # an undamped atom's sectors do not decay; nor, undriven, does the dark
+    # polariton at chi = 1, x_phase = 0 and equal detunings
+    assert _l0_gap(SystemParams(gamma=0.0, chi=0.4, delta_a=0.3), FockCutoff(6)) == 0.0
+    dark = SystemParams(gamma=1.7, chi=1.0, delta_c=0.4, delta_a=0.4)
+    assert abs(_l0_gap(dark, FockCutoff(6))) < 1e-12
+
+
+def _stress_draws(count):
+    """Points in and around the degenerate corners: gamma zero or tiny, chi
+    0, 1/2 or 1, equal or unequal detunings, x_phase zero or not, drives
+    from 1e-5 to 2."""
+    rng = np.random.default_rng(126)
+    for k in range(count):
+        omega = 10 ** rng.uniform(-5.0, math.log10(2.0))
+        delta = rng.uniform(-1.0, 1.0)
+        yield FockCutoff(4 + k % 3), SystemParams(
+            gamma=float(rng.choice([0.0, 1e-9, rng.uniform(0.05, 4.0)])),
+            chi=float(rng.choice([0.0, 0.5, 1.0])),
+            delta_c=delta, delta_a=delta if k % 2 else rng.uniform(-1.0, 1.0),
+            omega_c=omega, omega_a=omega * rng.uniform(0.0, 2.0),
+            e_mag=4.0 * omega**2 * rng.uniform(0.0, 2.0), phi_d=rng.uniform(-math.pi, math.pi),
+            x_phase=0.0 if k % 4 < 2 else rng.uniform(-3.0, 3.0),
+        )
+
+
+def _any_outcome(solve):
+    """The state's bytes, or the type and message of what refused it.  An
+    undamped atom can also end in a numpy warning, an error in this suite,
+    or in LAPACK's failure to converge on the state it leaves."""
+    try:
+        return solve().tobytes()
+    except (
+        DegenerateSteadyStateError, PositivityError, np.linalg.LinAlgError, RuntimeWarning
+    ) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_certified_points_keep_every_outcome(monkeypatch):
+    # GAP_MARGIN = inf certifies nothing, so every point runs the probe.
+    assert any(_l0_gap(p, c) >= dynamics.GAP_MARGIN for c, p in _stress_draws(150))
+    outcomes = {}
+    for margin in (dynamics.GAP_MARGIN, math.inf):
+        monkeypatch.setattr(dynamics, "GAP_MARGIN", margin)
+        outcomes[margin] = [
+            _any_outcome(lambda: _solve(params, cutoff)) for cutoff, params in _stress_draws(150)
+        ]
+    certified, probed = outcomes.values()
+    refusals = [o for o in probed if isinstance(o, str)]
+    assert (
+        "DegenerateSteadyStateError: non-unique steady state: found a second null vector"
+        in refusals
+    )
+    assert len(refusals) < len(probed)
+    for (cutoff, params), got, want in zip(_stress_draws(150), certified, probed):
+        if got != want:
+            # The probe's steps may fail to halve on L0's factors where the
+            # trace column's did; uncertified, such a point falls back to
+            # the driven factors, whose state agrees to rounding.
+            assert not isinstance(got, str) and not isinstance(want, str), params
+            got, want = (np.frombuffer(o, dtype=complex) for o in (got, want))
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), params
+
+
+def test_certified_point_runs_no_probe(monkeypatch):
+    tolerances, ranks = [], []
+    refine, rank = dynamics._refine, scipy.sparse.csgraph.structural_rank
+
+    def refine_spy(system, solve, b, tol):
+        tolerances.append(tol)
+        return refine(system, solve, b, tol)
+
+    def rank_spy(matrix):
+        ranks.append(matrix.shape)
+        return rank(matrix)
+
+    monkeypatch.setattr(dynamics, "_refine", refine_spy)
+    monkeypatch.setattr(scipy.sparse.csgraph, "structural_rank", rank_spy)
+    params = next(_point_n16_draws(1))
+    cutoff = FockCutoff(16)
+    assert _l0_gap(params, cutoff) >= dynamics.GAP_MARGIN
+    certified = _solve(params, cutoff)
+    assert (tolerances, ranks) == ([dynamics.WIDE_TOL], [])
+    tolerances.clear()
+    monkeypatch.setattr(dynamics, "GAP_MARGIN", math.inf)
+    assert _solve(params, cutoff).tobytes() == certified.tobytes()
+    assert tolerances == [dynamics.WIDE_TOL, dynamics.FLOAT_FLOOR] and len(ranks) == 1
+
+
 def test_steady_state_does_not_depend_on_earlier_solves():
     lv = build_liouvillian(DRIVEN, HISTORY_CUTOFF)
     undriven = build_undriven_liouvillian(DRIVEN, HISTORY_CUTOFF)

@@ -19,13 +19,7 @@ from .dark_state import (
 )
 from .dynamics import DegenerateSteadyStateError, PositivityError, steady_state
 from .fock_algebra import FockCutoff, composite_operators
-from .model import (
-    DerivedParams,
-    SystemParams,
-    build_liouvillian,
-    build_undriven_liouvillian,
-    derive,
-)
+from .model import DerivedParams, SystemParams, build_liouvillian, derive
 from .observables import g2_zero, mean_photon_number, population, purity
 from .truncated_oracle import TruncatedParams, truncated_liouvillian, truncated_operators
 
@@ -44,7 +38,6 @@ __all__ = [
     "TruncatedParams",
     "basis_change_matrix",
     "build_liouvillian",
-    "build_undriven_liouvillian",
     "collective_jump_operators",
     "composite_operators",
     "dark_conditions_double",

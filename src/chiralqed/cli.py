@@ -35,7 +35,7 @@ from .dynamics import (
     steady_state,
 )
 from .fock_algebra import FockCutoff
-from .model import SystemParams, build_liouvillian, build_undriven_liouvillian, derive
+from .model import SystemParams, build_liouvillian, derive
 from .observables import OBSERVABLES, FiveStates, FullStates
 
 EXIT_OK = 0
@@ -126,13 +126,7 @@ class Engine:
                 for value in values.tolist()
             ]
             try:
-                rho = np.stack([
-                    steady_state(
-                        build_liouvillian(p, self.cutoff),
-                        undriven=build_undriven_liouvillian(p, self.cutoff),
-                    )
-                    for p in points
-                ])
+                rho = np.stack([steady_state(build_liouvillian(p, self.cutoff)) for p in points])
             except OverflowError as exc:
                 # The generator's norm grows with the cutoff this config chose.
                 raise ConfigError(f"rates too large at cutoff {self.cutoff.n_max}: {exc}") from exc
@@ -145,7 +139,10 @@ class Engine:
             )
         except ValueError as exc:
             raise ConfigError(f"[engine] {exc}") from exc
-        rho = steady_state(trunc.truncated_liouvillian(tp))
+        try:
+            rho = steady_state(trunc.truncated_liouvillian(tp))
+        except OverflowError as exc:
+            raise ConfigError(f"rates too large: {exc}") from exc
         return FiveStates(rho.reshape(-1, *rho.shape[-2:]), tp.cp)
 
     def observe(self, params: SystemParams, names: Iterable[str]) -> dict[str, float]:

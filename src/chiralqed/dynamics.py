@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import _issparse
+from .model import _issparse, undriven_part
 
 if TYPE_CHECKING:  # for annotations; the full engine's code imports scipy itself
     import scipy.sparse
@@ -17,6 +17,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 DEGENERACY_TOL = 1e-8
+SINGULAR = "non-unique steady state: the trace-constrained system is singular"
 # The smallest gap of the undriven generator, in units of kappa, that
 # certifies a point solved on its factors as unique (see steady_state).
 GAP_MARGIN = 1e-3
@@ -135,7 +136,7 @@ def _undriven_gap(system: scipy.sparse.csr_array) -> float:
     return min(float(np.min(-m.real - s.real)), -x[-1, -1].real)
 
 
-def _factorize(system: scipy.sparse.csr_array, undriven: bool, certified: bool = False):
+def _factorize(system: scipy.sparse.csr_array, l0: bool, certified: bool = False):
     """SuperLU's solve (MMD_AT_PLUS_A, symmetric mode) of a system; None if exactly singular.
 
     The undriven system L0 fills in almost nowhere, so its factors are built
@@ -158,7 +159,7 @@ def _factorize(system: scipy.sparse.csr_array, undriven: bool, certified: bool =
         # on some systems only after OpenBLAS printed errors to stdout.
         if structural_rank(system) < system.shape[0]:
             return None
-    panels = {"panel_size": 1, "relax": 1} if undriven else {}
+    panels = {"panel_size": 1, "relax": 1} if l0 else {}
     try:
         return scipy.sparse.linalg.splu(
             system.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}, **panels
@@ -197,7 +198,7 @@ def _refine(system, solve, b: np.ndarray, tol: float) -> tuple[np.ndarray, bool]
             return x, True
 
 
-def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) -> np.ndarray:
+def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, l0: bool) -> np.ndarray:
     """Go on refining x with long-double residuals, on one np.clongdouble copy
     of the system; x is held in long double and rounded once.  The steps end
     once no entry of x above GRADE_FLOOR times the largest moves by more than
@@ -216,7 +217,7 @@ def _refine_wide(system, solve, b: np.ndarray, x: np.ndarray, undriven: bool) ->
         step = solve(_residual_wide(wide, b, x_wide).astype(complex))
         scale = np.maximum(np.abs(x), GRADE_FLOOR * np.abs(x).max())
         move = np.max(np.abs(step) / scale)
-        if not (undriven or move <= CONTRACTION * last):
+        if not (l0 or move <= CONTRACTION * last):
             break
         x_wide += step
         x = x_wide.astype(complex)
@@ -237,14 +238,14 @@ def _solve_sparse(constrained, rhs: np.ndarray, undriven, certified: bool) -> np
     for factors in [m for m in (undriven, constrained) if m is not None]:
         own = factors is constrained
         unprobed = certified and not own
-        solve = _factorize(factors, undriven=not own, certified=unprobed)
+        solve = _factorize(factors, l0=not own, certified=unprobed)
         if solve is None:
             continue
         solution, contracted = _refine(constrained, solve, b, WIDE_TOL)
         if contracted and not unprobed or own:
             candidate, contracted = _refine(constrained, solve, probe, FLOAT_FLOOR)
         if contracted or own:
-            solution = _refine_wide(constrained, solve, b, solution, undriven=not own)
+            solution = _refine_wide(constrained, solve, b, solution, l0=not own)
             return np.stack([solution] if unprobed else [solution, candidate], axis=-1)
     return np.full(rhs.shape, np.nan, dtype=complex)
 
@@ -258,7 +259,7 @@ def _solve_dense(constrained: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.full((len(constrained), *rhs.shape), np.nan, dtype=complex)
 
 
-def steady_state(lv, undriven=None) -> np.ndarray:
+def steady_state(lv) -> np.ndarray:
     """The unique stationary density matrix of a trace-preserving generator.
 
     lv is a scipy.sparse matrix, a dense (d2, d2) array, or a dense
@@ -268,18 +269,17 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     x <- x + F^-1 (b - A x), where F is a SuperLU factorisation under a
     symmetric minimum-degree ordering.
 
-    undriven, taken only with a sparse lv, is the same point's generator L0
-    without drives and pair pump (model.build_undriven_liouvillian), which
-    is block-triangular in the excitation number and factorises almost
-    without fill.  F is its factors when it is structurally full rank (or
-    certified, below), SuperLU factorises it, and every step is at most
-    half the one before until below 2^-40 of x; otherwise F factorises A.
-    The point alone decides.  L0's factors are built with small SuperLU
-    panels, which its sparse fill makes cheaper, and A's with SuperLU's
-    supernodal defaults, which pay off on A's dense fill (see _factorize).
-    The step ratio
-    estimates the spectral radius of F^-1 (A - F), which must be below 1:
-    an estimate, not a proof of uniqueness.
+    A sparse lv on build_liouvillian's pattern is taken to be a generator
+    of the model, whose part L0 without drives and pair pump
+    (model.undriven_part) factorises almost without fill.  F is L0's
+    factors when L0 is structurally full rank (or certified, below),
+    SuperLU factorises it, and every step is at most half the one before
+    until below 2^-40 of x; otherwise, and for any other sparse lv, F
+    factorises A.  The point alone decides.  L0's factors are built with
+    small SuperLU panels and A's with SuperLU's supernodal defaults (see
+    _factorize).  The step ratio estimates the spectral radius of
+    F^-1 (A - F), which must be below 1: an estimate, not a proof of
+    uniqueness.
 
     The trace column then gets residuals from scipy's CSR product in
     np.clongdouble, with x held in long double and rounded once, until no
@@ -287,15 +287,16 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     (at most 12 steps); otherwise float64 residual noise would stay in the
     small entries that two-excitation populations read.
 
-    A solve that is not finite, or whose residual exceeds 1e-6 of
-    max(||L||_F, 1), raises DegenerateSteadyStateError, with one message
-    alone and in a stack.  That discards no unique state: trace preservation
-    makes row 0 minus the sum of the other diagonal-position rows, so A x = 0
-    exactly when L x = 0 and tr x = 0.  A Lindblad generator's null space is
-    spanned by density matrices (Baumgartner & Narnhofer, J. Phys. A 41,
-    395303 (2008)), so a one-dimensional one holds no traceless vector and a
-    larger one always does: A is singular exactly when the steady state is
-    not unique.  Uniqueness is also probed with one inverse-iteration step
+    A solve that is not finite, whose residual exceeds 1e-6 of
+    max(||L||_F, 1), or whose ||x||_F exceeds 2 Re tr x (a density matrix
+    has ||rho||_F <= tr rho), raises DegenerateSteadyStateError, with one
+    message alone and in a stack.  That discards no unique state: trace
+    preservation makes row 0 minus the sum of the other diagonal-position
+    rows, so A x = 0 exactly when L x = 0 and tr x = 0.  A Lindblad
+    generator's null space is spanned by density matrices (Baumgartner &
+    Narnhofer, J. Phys. A 41, 395303 (2008)), so a one-dimensional one holds
+    no traceless vector and a larger one always does: A is singular exactly
+    when the steady state is not unique.  Uniqueness is also probed with one inverse-iteration step
     on the same factors: a second null vector (a deflated unit candidate d
     with ||L d|| below 1e-8 of || |L| |d| ||, L's componentwise scale on d)
     raises DegenerateSteadyStateError too.
@@ -334,12 +335,10 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     if lv.ndim not in (2, 3) or lv.shape[-2] != d2 or dim * dim != d2:
         raise ValueError(f"expected a D^2 x D^2 superoperator, got {lv.shape}")
 
-    if undriven is not None and (not sparse or undriven.shape != lv.shape):
-        raise ValueError("undriven is taken only with a sparse lv of the same shape")
     trace_row, rhs = _constants(d2)
     with np.errstate(over="ignore"):  # an overflow is refused below
         if sparse:
-            members, system = [lv], _system(lv)
+            members, system, undriven = [lv], _system(lv), undriven_part(lv)
             preconditioner = None if undriven is None else _system(undriven)
             certified = preconditioner is not None and _undriven_gap(preconditioner) >= GAP_MARGIN
             both = _solve_sparse(system, rhs, preconditioner, certified)[np.newaxis]
@@ -366,9 +365,7 @@ def steady_state(lv, undriven=None) -> np.ndarray:
     norms = np.maximum(np.linalg.norm(solution, axis=-1), 1e-300)
     residual = np.linalg.norm(apply(solution), axis=-1) / norms
     if not np.all(np.isfinite(solution)) or np.any(residual > 1e-6 * np.maximum(scale, 1.0)):
-        raise DegenerateSteadyStateError(
-            "non-unique steady state: the trace-constrained system is singular"
-        )
+        raise DegenerateSteadyStateError(SINGULAR)
 
     if both.shape[-1] > 1:
         # A near-degenerate generator amplifies a second null direction
@@ -392,6 +389,10 @@ def steady_state(lv, undriven=None) -> np.ndarray:
                     "non-unique steady state: found a second null vector"
                 )
 
+    # A density matrix has ||rho||_F <= tr rho.  A solve far from that is no
+    # state, though L takes it near zero, and _finalize would divide by its trace.
+    if np.any(norms > 2.0 * solution[..., ::dim + 1].sum(axis=-1).real):
+        raise DegenerateSteadyStateError(SINGULAR)
     rho = _finalize(solution.reshape(-1, dim, dim).swapaxes(1, 2))
     final_residual = np.linalg.norm(apply(rho.swapaxes(1, 2).reshape(-1, d2)), axis=-1)
     too_large = final_residual > RESIDUAL_TOL * scale

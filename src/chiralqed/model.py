@@ -14,7 +14,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -225,6 +225,10 @@ def _weights(params: SystemParams) -> tuple[list[float], list[float]]:
     return hamiltonian, rates
 
 
+# The terms of the pair pump's and the drives' quadratures, in _weights' order.
+_DRIVES = slice(2, 8)
+
+
 def _hermitian_basis(cutoff: FockCutoff) -> tuple[np.ndarray, ...]:
     """a+ a, sigma+ sigma, then O + O+ and i (O - O+) for O = a^2, a, sigma, sigma+ a."""
     a, sm = composite_operators(cutoff)
@@ -241,6 +245,7 @@ class _Terms:
 
     Term k has the values `values[k]` at the entries `positions[k]` of the
     pattern (indptr, indices); a generator is their real-weighted sum.
+    `driven` marks the entries that the pump and drive terms store.
     """
 
     shape: tuple[int, int]
@@ -248,6 +253,7 @@ class _Terms:
     indices: np.ndarray
     positions: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
+    driven: np.ndarray
 
 
 def _entry_keys(matrix: scipy.sparse.csr_array) -> np.ndarray:
@@ -285,9 +291,11 @@ def _terms(cutoff: FockCutoff) -> _Terms:
         np.searchsorted(keys, _entry_keys(term)).astype(pattern.indices.dtype) for term in terms
     )
     values = tuple(term.data for term in terms)
-    for array in (pattern.indptr, pattern.indices, *positions, *values):
+    driven = np.zeros(keys.size, dtype=bool)
+    driven[np.concatenate(positions[_DRIVES])] = True
+    for array in (pattern.indptr, pattern.indices, *positions, *values, driven):
         array.flags.writeable = False
-    return _Terms(pattern.shape, pattern.indptr, pattern.indices, positions, values)
+    return _Terms(pattern.shape, pattern.indptr, pattern.indices, positions, values, driven)
 
 
 def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
@@ -327,13 +335,21 @@ def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.
     )
 
 
-def build_undriven_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
-    """The generator L0 of the same point without its drives and pair pump.
+def undriven_part(lv: scipy.sparse.csr_array) -> scipy.sparse.csr_array | None:
+    """L0, lv's generator without its drives and pair pump, if lv's CSR
+    pattern is build_liouvillian's at the cutoff its size implies (such an
+    lv is taken to be one of its generators); otherwise None.
 
-    L0 is build_liouvillian with omega_c = omega_a = e_mag = 0, from the same
-    cached terms.  It conserves the excitation number on each side of rho
+    L0 is lv with the pump and drive terms' entries, which no other term
+    stores, set to zero: build_liouvillian with omega_c = omega_a = e_mag = 0,
+    byte for byte.  It conserves the excitation number on each side of rho
     and its jumps only lower it, so it is block-triangular and SuperLU
-    factorises it almost without fill; steady_state refines a weakly driven
-    point's state on those factors.
+    factorises it almost without fill.
     """
-    return build_liouvillian(replace(params, omega_c=0.0, omega_a=0.0, e_mag=0.0), cutoff)
+    dim = math.isqrt(lv.shape[0])
+    if dim % 2 or dim < 6:
+        return None
+    terms = _terms(FockCutoff(dim // 2 - 1))
+    if not (np.array_equal(lv.indptr, terms.indptr) and np.array_equal(lv.indices, terms.indices)):
+        return None
+    return type(lv)((np.where(terms.driven, 0.0, lv.data), lv.indices, lv.indptr), shape=lv.shape)

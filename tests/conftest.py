@@ -21,7 +21,10 @@ into its members, so batches can be checked against their points.
 
 The rest are reference implementations that no engine or CLI path runs, so
 they live here rather than in the package: ``build_hamiltonian`` (the
-Hamiltonian alone, from the generator's Hermitian basis), ``devectorize`` and
+Hamiltonian alone, from the generator's Hermitian basis),
+``build_undriven_liouvillian`` (the generator L0 of a point without its
+drives and pair pump, built anew; ``model.undriven_part`` reads it off the
+driven generator), ``devectorize`` and
 ``evolve`` (time evolution by ``expm_multiply``), the overlaps ``eta`` and
 ``sigma`` and the closed-form ``collective_rates`` of the five-state model,
 and the paper's closed forms ``analytic_dark_rho`` (the dark-state density
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -47,7 +50,7 @@ from chiralqed import model
 from chiralqed import truncated_oracle as trunc
 from chiralqed.dynamics import _finalize, validate_density_matrix, vectorize
 from chiralqed.fock_algebra import FockCutoff
-from chiralqed.model import SystemParams, derive
+from chiralqed.model import SystemParams, build_liouvillian, derive
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,6 +187,12 @@ def build_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
     weights, _ = model._weights(params)
     basis = model._hermitian_basis(cutoff)
     return sum(w * b for w, b in zip(weights[:-2], basis[:-2]))
+
+
+def build_undriven_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.csr_array:
+    """The generator L0 of the same point without its drives and pair pump:
+    build_liouvillian with omega_c = omega_a = e_mag = 0."""
+    return build_liouvillian(replace(params, omega_c=0.0, omega_a=0.0, e_mag=0.0), cutoff)
 
 
 def devectorize(vec: np.ndarray) -> np.ndarray:

@@ -274,7 +274,7 @@ def test_overflowing_drive_exits_numerical(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
-    # point solves first, and numpy warns on stderr of the same overflow there
+    # point solves first, where the generator's norm overflows: rates too large
     result = subprocess.run(
         [sys.executable, "-m", "chiralqed.cli", "point", "--engine", "truncated",
          "--config", cfg],
@@ -282,8 +282,10 @@ def test_overflowing_drive_exits_numerical(tmp_path, capsys):
         text=True,
         env=subprocess_env(),
     )
-    assert (result.returncode, result.stdout) == (3, "")
-    assert result.stderr.splitlines()[-1].startswith("numerical failure:")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "config error: rates too large: ||L||_F = inf overflows the float64 norms"
+        " of a 25-row generator\n"
+    )
 
 
 def _run_cli(*argv) -> subprocess.CompletedProcess:

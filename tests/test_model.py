@@ -5,22 +5,19 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralqed import model
 from chiralqed.dynamics import steady_state, vectorize
 from chiralqed.fock_algebra import FockCutoff, composite_operators
-from chiralqed.model import (
-    SystemParams,
-    build_liouvillian,
-    build_undriven_liouvillian,
-    derive,
-    lindblad,
-)
+from chiralqed.model import SystemParams, build_liouvillian, derive, lindblad, undriven_part
 
 from conftest import (
     OUT_OF_RANGE_FIELDS,
     build_hamiltonian,
+    build_undriven_liouvillian,
     cascade_liouvillian,
     devectorize,
     random_density,
@@ -222,7 +219,7 @@ def test_undriven_generator_is_block_triangular_in_excitation_number():
     that lets SuperLU factorise it almost without fill."""
     p = SystemParams(gamma=0.7, chi=0.4, delta_c=0.3, delta_a=-0.2, omega_c=0.05,
                      omega_a=0.02, e_mag=0.01, phi_d=0.4, x_phase=0.9)
-    l0 = build_undriven_liouvillian(p, CUTOFF)
+    l0 = undriven_part(build_liouvillian(p, CUTOFF))
     zeroed = replace(p, omega_c=0.0, omega_a=0.0, e_mag=0.0)
     assert (l0 != build_liouvillian(zeroed, CUTOFF)).nnz == 0
     a, sm = composite_operators(CUTOFF)
@@ -232,6 +229,50 @@ def test_undriven_generator_is_block_triangular_in_excitation_number():
     rows, cols = l0.nonzero()
     assert np.array_equal(ket[rows] - bra[rows], ket[cols] - bra[cols])
     assert np.all(ket[rows] <= ket[cols])
+
+
+def test_undriven_part_is_the_undriven_generator_byte_for_byte():
+    # the pump and drive terms share no stored entry with the other eight,
+    # so zeroing theirs leaves the others' sums as build_liouvillian made them
+    rng = np.random.default_rng(28)
+    for n_max in (2, 3, 5, 8, 16, 24, 40):
+        cutoff = FockCutoff(n_max)
+        for k in range(3):
+            p = SystemParams(
+                gamma=0.0 if k == 0 else rng.uniform(0.1, 3.0), chi=rng.uniform(0.0, 1.0),
+                delta_c=rng.uniform(-1.0, 1.0), delta_a=rng.uniform(-1.0, 1.0),
+                omega_c=rng.uniform(0.0, 0.2), omega_a=rng.uniform(0.0, 0.2),
+                e_mag=rng.uniform(0.0, 0.05), phi_d=rng.uniform(-3.0, 3.0),
+                x_phase=rng.uniform(-3.0, 3.0),
+            )
+            got = undriven_part(build_liouvillian(p, cutoff))
+            want = build_undriven_liouvillian(p, cutoff)
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (n_max, p)
+
+
+def test_undriven_part_refuses_other_generators(monkeypatch):
+    lv = build_liouvillian(SystemParams(omega_c=0.05, e_mag=0.01), CUTOFF)
+    assert undriven_part(lv) is not None
+    # one stored entry more than the model's pattern: an explicit zero
+    coo = lv.tocoo()
+    stored = np.zeros(lv.shape, dtype=bool)
+    stored[coo.row, coo.col] = True
+    row, col = np.argwhere(~stored)[0]
+    extra = scipy.sparse.csr_array(
+        (np.append(coo.data, 0.0), (np.append(coo.row, row), np.append(coo.col, col))),
+        shape=lv.shape,
+    )
+    assert extra.nnz == lv.nnz + 1 and undriven_part(extra) is None
+
+    def no_terms(cutoff):
+        raise AssertionError(f"terms built at {cutoff}")
+
+    # an odd D, or one below 6, is no cutoff's: the terms are not built
+    monkeypatch.setattr(model, "_terms", no_terms)
+    for dim in (2, 3, 4, 5, 7, 9):
+        square = scipy.sparse.eye_array(dim * dim, dtype=complex, format="csr")
+        assert undriven_part(square) is None, dim
 
 
 def test_undriven_steady_state_is_vacuum():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 
@@ -21,6 +22,28 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+MODULES = (
+    "fock_algebra", "model", "collective", "truncated_oracle",
+    "dynamics", "observables", "dark_state", "cli",
+)
+
+
+def test_readme_cites_only_names_that_exist():
+    """Each `module.name` in a code span of README.md, for a module of the
+    package, is an attribute of chiralqed.<module>: a deleted or renamed
+    name cannot linger in the docs."""
+    with open(README, encoding="utf-8") as handle:
+        spans = re.findall(r"`([^`\n]+)`", handle.read())
+    cited = re.compile(rf"(?<![\w.])({'|'.join(MODULES)})\.(\w+)")
+    names = sorted({match for span in spans for match in cited.findall(span)})
+    assert ("model", "lindblad") in names
+    missing = [
+        f"{module}.{name}" for module, name in names
+        if not hasattr(importlib.import_module(f"chiralqed.{module}"), name)
+    ]
+    assert missing == []
 
 
 def _trees(directory: str) -> dict[str, ast.Module]:

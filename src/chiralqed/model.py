@@ -335,6 +335,24 @@ def build_liouvillian(params: SystemParams, cutoff: FockCutoff) -> scipy.sparse.
     )
 
 
+def pattern_cutoff(lv: scipy.sparse.csr_array) -> FockCutoff | None:
+    """The cutoff at whose build_liouvillian pattern lv's CSR arrays are, or None.
+
+    The model stores 61 n^2 + 54 n - 4 entries at n_max = n, so a canonical
+    lv of D^2 rows with another count, odd D or D below 6 is refused before
+    the cutoff's terms are built (12-18 ms and one of _terms' cache slots).
+    """
+    dim = math.isqrt(lv.shape[0])
+    n_max = dim // 2 - 1
+    if dim % 2 or dim < 6 or lv.nnz != 61 * n_max**2 + 54 * n_max - 4:
+        return None
+    cutoff = FockCutoff(n_max)
+    terms = _terms(cutoff)
+    if not (np.array_equal(lv.indptr, terms.indptr) and np.array_equal(lv.indices, terms.indices)):
+        return None
+    return cutoff
+
+
 def undriven_part(lv: scipy.sparse.csr_array) -> scipy.sparse.csr_array | None:
     """L0, lv's generator without its drives and pair pump, if lv's CSR
     pattern is build_liouvillian's at the cutoff its size implies (such an
@@ -346,10 +364,8 @@ def undriven_part(lv: scipy.sparse.csr_array) -> scipy.sparse.csr_array | None:
     and its jumps only lower it, so it is block-triangular and SuperLU
     factorises it almost without fill.
     """
-    dim = math.isqrt(lv.shape[0])
-    if dim % 2 or dim < 6:
+    cutoff = pattern_cutoff(lv)
+    if cutoff is None:
         return None
-    terms = _terms(FockCutoff(dim // 2 - 1))
-    if not (np.array_equal(lv.indptr, terms.indptr) and np.array_equal(lv.indices, terms.indices)):
-        return None
-    return type(lv)((np.where(terms.driven, 0.0, lv.data), lv.indices, lv.indptr), shape=lv.shape)
+    driven = _terms(cutoff).driven
+    return type(lv)((np.where(driven, 0.0, lv.data), lv.indices, lv.indptr), shape=lv.shape)

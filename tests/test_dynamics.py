@@ -101,9 +101,9 @@ def test_steady_state_properties():
 
 def _own_factors(lv):
     """steady_state(lv) on A's own factors, as for a sparse lv off the
-    model's pattern: no undriven part is found."""
+    model's pattern: no cutoff's pattern is found."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "undriven_part", lambda lv: None)
+        patch.setattr(dynamics, "pattern_cutoff", lambda lv: None)
         return steady_state(lv)
 
 
@@ -196,16 +196,20 @@ L0_STRUCTURALLY_SINGULAR = SystemParams(gamma=0.0, omega_c=0.05, omega_a=0.05, e
 STRONG_DRIVE = SystemParams(chi=0.5, x_phase=0.7, omega_c=1.0, omega_a=1.0)
 
 
-# The supernode settings SuperLU gets: small panels for the undriven system,
-# SuperLU's defaults (None) for a driven system's own factors.
-SMALL_PANELS = {"panel_size": 1, "relax": 1}
-DEFAULT_PANELS = {"panel_size": None, "relax": None}
+# The ordering and supernode settings SuperLU gets: small panels for the
+# undriven system, in its excitation order on a certified point and under
+# minimum degree otherwise; minimum degree and SuperLU's default panels
+# (None) for a driven system's own factors.
+ORDERED_L0 = {"permc_spec": "NATURAL", "panel_size": 1, "relax": 1}
+SMALL_PANELS = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}
+DEFAULT_PANELS = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": None, "relax": None}
 
 
 @pytest.fixture
 def factorized(monkeypatch):
-    """(stored entries, factorised?, SuperLU's panel settings) of each system
-    handed to SuperLU, in order; the settings are None if SuperLU never ran."""
+    """(stored entries, factorised?, SuperLU's ordering and panel settings) of
+    each system handed to SuperLU, in order; the settings are None if SuperLU
+    never ran."""
     calls, settings = [], []
     factorize, splu = dynamics._factorize, scipy.sparse.linalg.splu
 
@@ -236,7 +240,7 @@ def _outcome(solve):
     [
         (L0_SINGULAR, False, SMALL_PANELS),
         (L0_STRUCTURALLY_SINGULAR, False, None),
-        (STRONG_DRIVE, True, SMALL_PANELS),
+        (STRONG_DRIVE, True, ORDERED_L0),
     ],
     ids=["l0-exactly-singular", "l0-structurally-singular", "steps-grow"],
 )
@@ -292,7 +296,7 @@ def test_undriven_and_driven_factors_give_the_same_state(factorized, points, n_m
 
 
 def _l0_gap(params, cutoff):
-    return dynamics._undriven_gap(dynamics._system(build_undriven_liouvillian(params, cutoff)))
+    return dynamics._undriven_gap(dynamics._plan(cutoff), build_liouvillian(params, cutoff).data)
 
 
 def test_undriven_gap_matches_dense_eigenvalues():
@@ -400,11 +404,65 @@ def test_certified_point_runs_no_probe(monkeypatch):
     cutoff = FockCutoff(16)
     assert _l0_gap(params, cutoff) >= dynamics.GAP_MARGIN
     certified = _solve(params, cutoff)
-    assert (tolerances, ranks) == ([dynamics.WIDE_TOL], [])
+    assert (tolerances, ranks) == ([dynamics.FLOAT_FLOOR], [])
     tolerances.clear()
     monkeypatch.setattr(dynamics, "GAP_MARGIN", math.inf)
-    assert _solve(params, cutoff).tobytes() == certified.tobytes()
+    probed = _solve(params, cutoff)
     assert tolerances == [dynamics.WIDE_TOL, dynamics.FLOAT_FLOOR] and len(ranks) == 1
+    # the probed point refines in the original order, on every long-double residual
+    assert np.abs(probed - certified).max() <= 1e-15 * np.abs(probed).max()
+
+
+def test_the_plan_is_read_only_and_outlives_each_point():
+    # chi = 0 stores explicit zeros that chi = 1 does not; eliminating them in
+    # arrays shared with the cached plan would corrupt the next point's system
+    cutoff = FockCutoff(8)
+    plan = dynamics._plan(cutoff)
+    arrays = (plan.order, plan.rank, *plan.system, *plan.undriven, plan.x_positions, plan.x_index)
+    assert not any(array.flags.writeable for array in arrays)
+    points = [replace(DRIVEN, chi=chi) for chi in (1.0, 0.0, 1.0)]
+    assert all(_l0_gap(params, cutoff) >= dynamics.GAP_MARGIN for params in points)
+    in_turn = [_solve(params, cutoff).tobytes() for params in points]
+    for params, state in zip(points, in_turn):
+        dynamics._plan.cache_clear()
+        assert _solve(params, cutoff).tobytes() == state, params
+
+
+def _extended_reference(lv):
+    """lv's steady state to about 2^-64: a dense LU of the trace-constrained
+    system, then 40 refinement steps on long-double residuals, Hermitised
+    and normalised in long double."""
+    dim = math.isqrt(lv.shape[0])
+    system = lv.toarray()
+    system[0] = vectorize(np.eye(dim))
+    b = np.eye(1, system.shape[0], dtype=complex)[0]
+    factors = scipy.linalg.lu_factor(system)
+    wide = system.astype(np.clongdouble)
+    x = scipy.linalg.lu_solve(factors, b).astype(np.clongdouble)
+    for _ in range(40):
+        x += scipy.linalg.lu_solve(factors, (b - wide @ x).astype(complex))
+    rho = x.reshape(dim, dim).T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def test_sparse_states_match_an_extended_precision_reference():
+    # every entry above 2^-20 of the largest within 2^-50 (8 ulp) of itself
+    rng = np.random.default_rng(29)
+    for k in range(12):
+        omega = 10 ** rng.uniform(-2.0, -0.5)
+        params = SystemParams(
+            gamma=10 ** rng.uniform(-3.0, 0.6), chi=(0.0, 0.5, 1.0)[k % 3],
+            delta_c=rng.uniform(-1.0, 1.0), delta_a=rng.uniform(-1.0, 1.0),
+            omega_c=omega, omega_a=omega * rng.uniform(0.5, 1.5),
+            e_mag=4.0 * omega**2 * rng.uniform(0.0, 2.0), phi_d=rng.uniform(-math.pi, math.pi),
+            x_phase=rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0),
+        )
+        lv = build_liouvillian(params, FockCutoff(4 + k % 3))
+        reference = _extended_reference(lv)
+        large = np.abs(reference) > dynamics.GRADE_FLOOR * np.abs(reference).max()
+        error = np.abs(steady_state(lv) - reference)
+        assert np.all(error[large] <= 2.0**-50 * np.abs(reference[large])), params
 
 
 def test_steady_state_does_not_depend_on_earlier_solves():
@@ -569,7 +627,7 @@ def test_certified_generator_factorises_only_its_undriven_part(factorized):
     for form in (lv, lv.tocsc()):
         factorized.clear()
         steady_state(form)
-        assert factorized == [(l0.nnz, True, SMALL_PANELS)]
+        assert factorized == [(l0.nnz, True, ORDERED_L0)]
 
 
 def _each_entry_twice(m):

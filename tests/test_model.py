@@ -268,11 +268,16 @@ def test_undriven_part_refuses_other_generators(monkeypatch):
     def no_terms(cutoff):
         raise AssertionError(f"terms built at {cutoff}")
 
-    # an odd D, or one below 6, is no cutoff's: the terms are not built
+    # an odd D, or one below 6, is no cutoff's, and a matrix whose count of
+    # stored entries is not the model's is on no pattern: the terms are not built
     monkeypatch.setattr(model, "_terms", no_terms)
     for dim in (2, 3, 4, 5, 7, 9):
         square = scipy.sparse.eye_array(dim * dim, dtype=complex, format="csr")
         assert undriven_part(square) is None, dim
+    rng = np.random.default_rng(29)
+    noise = scipy.sparse.random_array((324, 324), density=0.05, rng=rng, format="csr")
+    assert noise.nnz != 4332  # the model's entries at n_max = 8, where D^2 = 324
+    assert model.pattern_cutoff(noise) is None and undriven_part(noise) is None
 
 
 def test_undriven_steady_state_is_vacuum():
